@@ -4,30 +4,30 @@ __version__ = "0.1.0"
 
 from .analysis import (EnergyResult, EntropyResult, differential_readout,
                        energy, entropy)
-from .device import (DEFAULT_PARAMS, DeviceParams, DeviceState, ParamRanges,
-                     apply_hysteresis, conductance, default_ranges,
-                     sample_device_params, step_internal_state)
+from .device import (DEFAULT_PARAMS, DeviceParams, ParamRanges,
+                     advance_state_batch, conductance_batch, default_ranges,
+                     hysteresis_batch, sample_device_params)
 from .errors import (ConfigError, DataError, GenerationError, NumericalError,
                      ParameterError, RsnError)
 from .harness import (HierarchyConfig, SweepConfig, SweepRecord, aggregate,
                       derive_seed, run_hierarchy, run_single, run_sweep)
 from .solver import (LinearSystem, SimulationTrace, assemble, dc_waveform,
                      simulate, sine_waveform, solve_step)
-from .topology import (BetaShape, Edge, Grid, NetworkTopology, beta_sample,
+from .topology import (BetaShape, Grid, NetworkTopology, beta_sample,
                        build_grid, distance_map, ensure_connected,
                        generate_network, has_path)
 
 __all__ = [
     "__version__",
     "BetaShape", "ConfigError", "DataError", "DEFAULT_PARAMS", "DeviceParams",
-    "DeviceState", "Edge", "EnergyResult", "EntropyResult", "GenerationError",
-    "Grid", "HierarchyConfig", "LinearSystem", "NetworkTopology",
-    "NumericalError", "ParamRanges", "ParameterError", "RsnError",
-    "SimulationTrace", "SweepConfig", "SweepRecord",
-    "aggregate", "apply_hysteresis", "assemble", "beta_sample", "build_grid",
-    "conductance", "dc_waveform", "default_ranges", "derive_seed",
-    "differential_readout", "distance_map", "energy", "ensure_connected",
-    "entropy", "generate_network", "has_path", "run_hierarchy", "run_single",
-    "run_sweep", "sample_device_params", "simulate", "sine_waveform",
-    "solve_step", "step_internal_state",
+    "EnergyResult", "EntropyResult", "GenerationError", "Grid",
+    "HierarchyConfig", "LinearSystem", "NetworkTopology", "NumericalError",
+    "ParamRanges", "ParameterError", "RsnError", "SimulationTrace",
+    "SweepConfig", "SweepRecord",
+    "advance_state_batch", "aggregate", "assemble", "beta_sample",
+    "build_grid", "conductance_batch", "dc_waveform", "default_ranges",
+    "derive_seed", "differential_readout", "distance_map", "energy",
+    "ensure_connected", "entropy", "generate_network", "has_path",
+    "hysteresis_batch", "run_hierarchy", "run_single", "run_sweep",
+    "sample_device_params", "simulate", "sine_waveform", "solve_step",
 ]

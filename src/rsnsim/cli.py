@@ -177,8 +177,8 @@ def cmd_generate(args) -> int:
     g = cfgmod.parse_generate(doc)
     grid = build_grid(g["interface_dim"], g["subdivision"])
     iface = grid.interface_indices
-    input_node = int(iface[0]) if g["input_node"] is None else int(g["input_node"])
-    ground_node = int(iface[-1]) if g["ground_node"] is None else int(g["ground_node"])
+    input_node = int(iface[0]) if g["input_node"] is None else g["input_node"]
+    ground_node = int(iface[-1]) if g["ground_node"] is None else g["ground_node"]
     rng = np.random.default_rng(g["seed"])
     topo = generate_network(grid, BetaShape(g["alpha"], g["beta"]), g["xi"],
                             input_node=input_node, ground_node=ground_node,

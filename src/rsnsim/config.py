@@ -45,6 +45,14 @@ def check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
+def _int(x, key: str) -> int:
+    """An integer value; booleans and non-integral numbers are rejected."""
+    if isinstance(x, bool) or not (isinstance(x, int)
+                                   or isinstance(x, float) and x.is_integer()):
+        raise ConfigError(f"'{key}' must be an integer, got {x!r}")
+    return int(x)
+
+
 def parse_ranges(doc: dict) -> ParamRanges:
     raw = doc.get("ranges")
     if raw is None:
@@ -59,17 +67,21 @@ def parse_ranges(doc: dict) -> ParamRanges:
 
 def parse_generate(doc: dict) -> dict:
     check_keys(doc, GENERATE_KEYS, "generate config")
+
+    def opt(key):
+        return None if doc.get(key) is None else _int(doc[key], key)
+
     out = {
-        "interface_dim": int(doc.get("interface_dim", 4)),
-        "subdivision": int(doc.get("subdivision", 1)),
+        "interface_dim": _int(doc.get("interface_dim", 4), "interface_dim"),
+        "subdivision": _int(doc.get("subdivision", 1), "subdivision"),
         "alpha": float(doc.get("alpha", 1.0)),
         "beta": float(doc.get("beta", 1.0)),
-        "xi": int(doc.get("xi", 4)),
-        "edge_count": None if doc.get("edge_count") is None else int(doc["edge_count"]),
+        "xi": _int(doc.get("xi", 4), "xi"),
+        "edge_count": opt("edge_count"),
         "ranges": parse_ranges(doc),
-        "seed": int(doc.get("seed", 0)),
-        "input_node": doc.get("input_node"),
-        "ground_node": doc.get("ground_node"),
+        "seed": _int(doc.get("seed", 0), "seed"),
+        "input_node": opt("input_node"),
+        "ground_node": opt("ground_node"),
     }
     if out["seed"] < 0:
         raise ConfigError("'seed' must be >= 0")
@@ -84,7 +96,7 @@ def parse_simulate(doc: dict) -> dict:
         "dt": float(doc.get("dt", DEFAULT_DT)),
         "duration": float(doc.get("duration", DEFAULT_DURATION)),
         "decay_mode": str(doc.get("decay_mode", "state_dependent")),
-        "decimation": int(doc.get("decimation", 1)),
+        "decimation": _int(doc.get("decimation", 1), "decimation"),
     }
     if out["dt"] <= 0 or out["duration"] < out["dt"]:
         raise ConfigError("need dt > 0 and duration >= dt")
@@ -99,15 +111,20 @@ def _sweep_kwargs(doc: dict) -> dict:
         if key in doc:
             kw[key] = tuple(cast(x) for x in doc[key])
     if "xis" in doc:
-        kw["xis"] = tuple(int(x) for x in doc["xis"])
-    for key, cast in (("trials", int), ("base_seed", int), ("interface_dim", int),
-                      ("subdivision", int), ("dt", float), ("duration", float),
-                      ("frequency", float), ("center", bool),
+        kw["xis"] = tuple(_int(x, "xis") for x in doc["xis"])
+    for key in ("trials", "base_seed", "interface_dim", "subdivision"):
+        if key in doc:
+            kw[key] = _int(doc[key], key)
+    for key, cast in (("dt", float), ("duration", float), ("frequency", float),
                       ("decay_mode", str)):
         if key in doc:
             kw[key] = cast(doc[key])
+    if "center" in doc:
+        if not isinstance(doc["center"], bool):
+            raise ConfigError(f"'center' must be true or false, got {doc['center']!r}")
+        kw["center"] = doc["center"]
     if doc.get("edge_count") is not None:
-        kw["edge_count"] = int(doc["edge_count"])
+        kw["edge_count"] = _int(doc["edge_count"], "edge_count")
     kw["ranges"] = parse_ranges(doc)
     return kw
 
@@ -125,10 +142,16 @@ def parse_sweep(doc: dict) -> SweepConfig:
 def parse_hierarchy(doc: dict) -> tuple:
     check_keys(doc, HIERARCHY_KEYS, "hierarchy config")
     sweep_doc = {k: v for k, v in doc.items() if k in SWEEP_KEYS}
-    hier = HierarchyConfig(k=int(doc.get("k", 16)),
-                           readout_a=int(doc.get("readout_a", 2)),
-                           readout_b=int(doc.get("readout_b", 9)))
-    return parse_sweep(sweep_doc), hier
+    cfg = parse_sweep(sweep_doc)
+    hier = HierarchyConfig(k=_int(doc.get("k", 16), "k"),
+                           readout_a=_int(doc.get("readout_a", 2), "readout_a"),
+                           readout_b=_int(doc.get("readout_b", 9), "readout_b"))
+    n_iface = cfg.interface_dim ** 2
+    for label in (hier.readout_a, hier.readout_b):
+        if label > n_iface:
+            raise ConfigError(f"readout label {label} exceeds the {n_iface} "
+                              f"interface nodes")
+    return cfg, hier
 
 
 def sweep_config_to_dict(cfg: SweepConfig) -> dict:

@@ -15,6 +15,7 @@ orientation).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -30,8 +31,10 @@ _SINH_ARG_CAP = 700.0
 
 DECAY_MODES = ("state_dependent", "plain")
 
-# Parameter draw order for sampling; also the serialization key order.
-# "lambda" is the external name of the field stored as ``lam``.
+# One order for the parameters: the draw order for sampling, the
+# serialization key order, the field order of DeviceParams and the column
+# order of a topology's (E, 10) parameter matrix.  "lambda" is the external
+# name of the field stored as ``lam``.
 _PARAM_KEYS = ("epsilon", "theta", "gamma", "delta", "lambda", "eta", "tau",
                "th_low", "th_high", "g_floor")
 
@@ -89,27 +92,6 @@ class DeviceParams:
         return cls(**{_attr(k): float(d[k]) for k in _PARAM_KEYS})
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Dynamic state of one switch: continuous w_prime and binary w."""
-
-    w_prime: float = 0.0
-    w: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.w_prime <= 1.0):
-            raise ParameterError(f"w_prime must lie in [0, 1], got {self.w_prime!r}")
-        if self.w not in (0, 1):
-            raise ParameterError(f"w must be 0 or 1, got {self.w!r}")
-
-    def to_dict(self) -> dict:
-        return {"w_prime": float(self.w_prime), "w": int(self.w)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceState":
-        return cls(w_prime=float(d["w_prime"]), w=int(d["w"]))
-
-
 # Default parameter set: produces switching within a few periods of a
 # 5 Hz, 1-8 V sine drive on the default lattices.  All overridable.
 DEFAULT_PARAMS = DeviceParams(
@@ -154,6 +136,11 @@ class ParamRanges:
             raise ParameterError(
                 "th_low range must lie strictly below th_high range "
                 f"(got {self.th_low} vs {self.th_high})")
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """(2, 10) array: lower then upper bounds, columns in _PARAM_KEYS order."""
+        return np.array([getattr(self, _attr(k)) for k in _PARAM_KEYS]).T
 
     def to_dict(self) -> dict:
         return {k: [float(v) for v in getattr(self, _attr(k))] for k in _PARAM_KEYS}
@@ -202,8 +189,8 @@ def default_ranges(spread: float = 0.5) -> ParamRanges:
 
 
 # ---------------------------------------------------------------------------
-# Vector kernels.  These operate elementwise on arrays and are the single
-# source of the device math; the scalar operations below delegate to them.
+# Kernels.  These operate elementwise on arrays of devices and are the
+# single source of the device math.
 # ---------------------------------------------------------------------------
 
 def conductance_batch(w, V, epsilon, theta, gamma, delta, g_floor):
@@ -211,7 +198,9 @@ def conductance_batch(w, V, epsilon, theta, gamma, delta, g_floor):
 
     OFF branch: epsilon * (1 - exp(-theta*|V|)) / |V|   (limit epsilon*theta)
     ON branch:  gamma * sinh(delta*|V|) / |V|           (limit gamma*delta)
-    The result is floored at g_floor.
+    The result is floored at g_floor.  The solver stamps each device with
+    a further g_floor in parallel, so a branch conducts
+    max(G, g_floor) + g_floor.
     """
     absV = np.abs(np.asarray(V, dtype=float))
     small = absV <= V_LIMIT_SWITCH
@@ -233,6 +222,8 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
     """
     if decay_mode not in DECAY_MODES:
         raise ParameterError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
+    if not dt > 0.0:
+        raise ParameterError(f"dt must be > 0, got {dt!r}")
     absV = np.abs(np.asarray(V, dtype=float))
     with np.errstate(over="ignore"):
         grow = lam * np.sinh(np.minimum(eta * absV, _SINH_ARG_CAP))
@@ -253,51 +244,11 @@ def hysteresis_batch(w_prime, w, th_low, th_high):
                     np.where(w_prime <= th_low, 0, w_arr)).astype(w_arr.dtype)
 
 
-# ---------------------------------------------------------------------------
-# Scalar operations
-# ---------------------------------------------------------------------------
-
-def conductance(w: int, V: float, p: DeviceParams) -> float:
-    """Conductance (S) of a device in binary state ``w`` at bias ``V`` (V)."""
-    if not np.isfinite(V):
-        raise ParameterError(f"bias must be finite, got {V!r}")
-    if w not in (0, 1):
-        raise ParameterError(f"w must be 0 or 1, got {w!r}")
-    return float(conductance_batch(w, V, p.epsilon, p.theta, p.gamma, p.delta,
-                                   p.g_floor))
-
-
-def current(w: int, V: float, p: DeviceParams) -> float:
-    """Signed branch current I = G(w, V) * V; antisymmetric in V."""
-    return conductance(w, V, p) * V
-
-
-def step_internal_state(s: DeviceState, V: float, dt: float, p: DeviceParams,
-                        decay_mode: str = "state_dependent") -> DeviceState:
-    """Advance w_prime by one Euler step of duration ``dt``; w is untouched."""
-    if not np.isfinite(V):
-        raise ParameterError(f"bias must be finite, got {V!r}")
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt!r}")
-    wp = float(advance_state_batch(s.w_prime, V, dt, p.lam, p.eta, p.tau,
-                                   decay_mode=decay_mode))
-    return DeviceState(w_prime=wp, w=s.w)
-
-
-def apply_hysteresis(s: DeviceState, p: DeviceParams) -> DeviceState:
-    """Re-threshold w from w_prime; retains w inside (th_low, th_high)."""
-    w = int(hysteresis_batch(s.w_prime, s.w, p.th_low, p.th_high))
-    return DeviceState(w_prime=s.w_prime, w=w)
-
-
-def sample_device_params(r: ParamRanges, rng: np.random.Generator) -> DeviceParams:
+def sample_device_params(r: ParamRanges, rng: np.random.Generator) -> np.ndarray:
     """Draw each parameter independently and uniformly from its interval.
 
-    Draw order is fixed (the serialization key order), so a seeded stream
-    yields a reproducible parameter sequence.
+    Returns one (10,) parameter row in _PARAM_KEYS order, which is also the
+    draw order, so a seeded stream yields a reproducible parameter sequence.
+    The ranges' own checks guarantee that every draw is a valid device.
     """
-    kw = {}
-    for k in _PARAM_KEYS:
-        lo, hi = getattr(r, _attr(k))
-        kw[_attr(k)] = float(rng.uniform(lo, hi))
-    return DeviceParams(**kw)
+    return rng.uniform(*r.bounds)

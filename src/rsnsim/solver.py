@@ -17,7 +17,7 @@ import numpy as np
 
 from . import device as dev
 from .errors import DataError, NumericalError, ParameterError
-from .topology import NetworkTopology
+from .topology import NetworkTopology, _components
 
 RESIDUAL_RTOL = 1e-9
 DEFAULT_FREQUENCY = 5.0  # Hz
@@ -42,7 +42,9 @@ class LinearSystem:
     Unknowns are the voltages of the ground-component nodes except ground
     itself (rows given by ``node_rows``; ground and floating-island nodes
     map to -1) followed by the source branch current.  The conductance
-    block is symmetric; with a positive conductance floor on every edge
+    block is symmetric.  Each device is stamped with max(G, g_floor) +
+    g_floor: the device kernel floors its conductance, and the assembler
+    adds a parallel g_floor path.  With that positive floor on every edge
     the reduced system is nonsingular.
     """
 
@@ -63,20 +65,18 @@ class _Assembler:
         n = t.grid.n_nodes
         if t.input_node == t.ground_node:
             raise ParameterError("input and ground nodes must differ")
-        self.n_nodes = n
         self.ground = t.ground_node
         self.input = t.input_node
 
-        a, b = t.endpoints()
+        a, b = t.a, t.b
         if np.any(a == b):
             raise ParameterError("topology contains a self-loop")
-        self.edge_a, self.edge_b = a, b
 
         # Only the component containing ground carries current; nodes of
         # floating islands are pinned at 0 V (exact: no source reaches
         # them), which keeps the matrix nonsingular without perturbing
         # the live circuit.
-        labels = self._labels(n, a, b)
+        labels = _components(n, a, b)
         active = labels == labels[self.ground]
         if not active[self.input]:
             raise ParameterError("no input->ground path; run ensure_connected first")
@@ -100,38 +100,10 @@ class _Assembler:
         self._sign = np.concatenate(stamp_sign)
         self._edge = np.concatenate(stamp_edge)
 
-        p = [e.params for e in t.edges]
-        self.eps = np.array([q.epsilon for q in p])
-        self.theta = np.array([q.theta for q in p])
-        self.gamma = np.array([q.gamma for q in p])
-        self.delta = np.array([q.delta for q in p])
-        self.lam = np.array([q.lam for q in p])
-        self.eta = np.array([q.eta for q in p])
-        self.tau = np.array([q.tau for q in p])
-        self.th_low = np.array([q.th_low for q in p])
-        self.th_high = np.array([q.th_high for q in p])
-        self.g_floor = np.array([q.g_floor for q in p])
-
-        self.init_w_prime = np.array([e.state.w_prime for e in t.edges])
-        self.init_w = np.array([e.state.w for e in t.edges], dtype=int)
-
-    @staticmethod
-    def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        parent = np.arange(n)
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for u, v in zip(a, b):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-        return np.fromiter((find(i) for i in range(n)), dtype=int, count=n)
+        # one contiguous row per parameter, in device._PARAM_KEYS order
+        (self.eps, self.theta, self.gamma, self.delta, self.lam, self.eta,
+         self.tau, self.th_low, self.th_high,
+         self.g_floor) = np.ascontiguousarray(t.params.T)
 
     def conductances(self, w: np.ndarray, branch_voltages: np.ndarray) -> np.ndarray:
         g = dev.conductance_batch(w, branch_voltages, self.eps, self.theta,
@@ -160,13 +132,12 @@ def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> Li
     """
     asm = _Assembler(t)
     branch_voltages = np.asarray(branch_voltages, dtype=float)
-    if branch_voltages.shape != (len(t.edges),):
-        raise DataError(f"expected {len(t.edges)} branch voltages, "
+    if branch_voltages.shape != (t.edge_count,):
+        raise DataError(f"expected {t.edge_count} branch voltages, "
                         f"got shape {branch_voltages.shape}")
     if not np.isfinite(v_in):
         raise DataError(f"source voltage must be finite, got {v_in!r}")
-    w = np.array([e.state.w for e in t.edges], dtype=int)
-    return asm.build(asm.conductances(w, branch_voltages), v_in)
+    return asm.build(asm.conductances(t.w, branch_voltages), v_in)
 
 
 def solve_step(sys: LinearSystem, step: Optional[int] = None):
@@ -230,6 +201,8 @@ class SimulationTrace:
 
     @classmethod
     def read_csv(cls, path) -> "SimulationTrace":
+        """Read a trace CSV.  The CSV carries no switching count, so
+        ``switching_events`` reads back as 0."""
         try:
             data = np.genfromtxt(path, delimiter=",", names=True)
         except OSError:
@@ -256,15 +229,12 @@ class SimulationTrace:
 def simulate(t: NetworkTopology, waveform: Callable[[float], float],
              dt: float = DEFAULT_DT, duration: float = DEFAULT_DURATION, *,
              decay_mode: str = "state_dependent",
-             inner_iterations: int = 1, inner_rtol: float = 1e-6,
              decimation: int = 1) -> SimulationTrace:
     """Time-step the network under a single source waveform.
 
     Per step: assemble with the previous branch voltages, solve, compute
     fresh branch voltages, advance every device state (Euler step, then
-    hysteresis).  ``inner_iterations`` > 1 enables an optional fixed-point
-    refinement of the conductance linearization within each step.
-    Device state stored on the topology is never mutated, so repeated
+    hysteresis).  Device state stored on the topology is never mutated, so repeated
     calls are bit-identical.
     """
     if dt <= 0.0:
@@ -277,9 +247,9 @@ def simulate(t: NetworkTopology, waveform: Callable[[float], float],
 
     asm = _Assembler(t)
     iface = t.grid.interface_indices
-    w_prime = asm.init_w_prime.copy()
-    w = asm.init_w.copy()
-    branch_v = np.zeros(len(t.edges))
+    w_prime = t.w_prime.copy()
+    w = t.w.copy()
+    branch_v = np.zeros(t.edge_count)
 
     rec_idx = range(0, n_steps, decimation)
     n_rec = len(rec_idx)
@@ -298,16 +268,7 @@ def simulate(t: NetworkTopology, waveform: Callable[[float], float],
 
         sys = asm.build(asm.conductances(w, branch_v), v_in)
         voltages, i_src = solve_step(sys, step=k)
-        new_branch = voltages[asm.edge_a] - voltages[asm.edge_b]
-        for _ in range(inner_iterations - 1):
-            sys = asm.build(asm.conductances(w, new_branch), v_in)
-            voltages, i_src = solve_step(sys, step=k)
-            prev = new_branch
-            new_branch = voltages[asm.edge_a] - voltages[asm.edge_b]
-            scale = max(1e-12, float(np.abs(new_branch).max()))
-            if np.abs(new_branch - prev).max() <= inner_rtol * scale:
-                break
-        branch_v = new_branch
+        branch_v = voltages[t.a] - voltages[t.b]
 
         if k % decimation == 0:
             times[rec] = t_k

@@ -6,7 +6,9 @@ posts sit between them at a finer pitch and let multi-device paths form.
 Wires are added one at a time: pick a start post, draw a normalized wire
 length from a beta distribution, and land on the post whose normalized
 distance from the start is closest to the draw.  Each wire is one
-resistive switch with independently sampled parameters.
+resistive switch with independently sampled parameters.  A network
+stores its devices as arrays: endpoints, an (E, 10) parameter matrix and
+the two state variables.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, ParamRanges, sample_device_params
-from .errors import GenerationError, ParameterError
+from .device import _PARAM_KEYS, DeviceParams, ParamRanges, sample_device_params
+from .errors import DataError, GenerationError, ParameterError
 
 log = logging.getLogger(__name__)
 
@@ -115,36 +117,23 @@ def distance_map(grid: Grid) -> np.ndarray:
     return d / d.max()
 
 
-@dataclass
-class Edge:
-    """One device between two grid nodes."""
-
-    a: int
-    b: int
-    params: DeviceParams
-    state: DeviceState
-
-    def to_dict(self) -> dict:
-        return {"a": int(self.a), "b": int(self.b),
-                "params": self.params.to_dict(), "state": self.state.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Edge":
-        return cls(a=int(d["a"]), b=int(d["b"]),
-                   params=DeviceParams.from_dict(d["params"]),
-                   state=DeviceState.from_dict(d["state"]))
-
-
-@dataclass
+@dataclass(eq=False)
 class NetworkTopology:
     """Random multigraph of devices over a grid, with input/ground roles.
 
-    ``n_augmented`` counts edges appended by the connectivity pass; the
-    first ``len(edges) - n_augmented`` edges are the generated population.
+    Device ``e`` joins nodes ``a[e]`` and ``b[e]``; row ``params[e]`` holds
+    its parameters in ``device._PARAM_KEYS`` order, and ``w_prime[e]`` and
+    ``w[e]`` its initial state.  ``n_augmented`` counts devices appended by
+    the connectivity pass; the first ``edge_count - n_augmented`` are the
+    generated population.
     """
 
     grid: Grid
-    edges: List[Edge]
+    a: np.ndarray        # (E,) int
+    b: np.ndarray        # (E,) int
+    params: np.ndarray   # (E, 10) float
+    w_prime: np.ndarray  # (E,) float in [0, 1]
+    w: np.ndarray        # (E,) int in {0, 1}
     input_node: int
     ground_node: int
     seed: int
@@ -152,25 +141,25 @@ class NetworkTopology:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.a.size
 
     @property
     def generated_edge_count(self) -> int:
-        return len(self.edges) - self.n_augmented
-
-    def endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
-        a = np.fromiter((e.a for e in self.edges), dtype=int, count=len(self.edges))
-        b = np.fromiter((e.b for e in self.edges), dtype=int, count=len(self.edges))
-        return a, b
+        return self.a.size - self.n_augmented
 
     def to_dict(self) -> dict:
+        edges = [{"a": a, "b": b, "params": dict(zip(_PARAM_KEYS, p)),
+                  "state": {"w_prime": wp, "w": w}}
+                 for a, b, p, wp, w in zip(self.a.tolist(), self.b.tolist(),
+                                           self.params.tolist(),
+                                           self.w_prime.tolist(), self.w.tolist())]
         return {
             "grid": self.grid.to_dict(),
             "input_node": int(self.input_node),
             "ground_node": int(self.ground_node),
             "seed": int(self.seed),
             "n_augmented": int(self.n_augmented),
-            "edges": [e.to_dict() for e in self.edges],
+            "edges": edges,
         }
 
     def to_json(self) -> str:
@@ -178,21 +167,43 @@ class NetworkTopology:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
-        return cls(grid=Grid.from_dict(d["grid"]),
-                   edges=[Edge.from_dict(e) for e in d["edges"]],
-                   input_node=int(d["input_node"]),
-                   ground_node=int(d["ground_node"]),
-                   seed=int(d["seed"]),
-                   n_augmented=int(d.get("n_augmented", 0)))
+        """Load and check a topology document.
+
+        Node indices outside the grid raise DataError; bad device
+        parameters or states raise ParameterError.
+        """
+        grid = Grid.from_dict(d["grid"])
+        edges = d["edges"]
+        # from_dict checks each device; DeviceParams' fields are in _PARAM_KEYS order
+        rows = [list(vars(DeviceParams.from_dict(e["params"])).values()) for e in edges]
+        t = cls(grid=grid,
+                a=np.array([int(e["a"]) for e in edges], dtype=int),
+                b=np.array([int(e["b"]) for e in edges], dtype=int),
+                params=np.array(rows).reshape(-1, len(_PARAM_KEYS)),
+                w_prime=np.array([float(e["state"]["w_prime"]) for e in edges]),
+                w=np.array([int(e["state"]["w"]) for e in edges], dtype=int),
+                input_node=int(d["input_node"]),
+                ground_node=int(d["ground_node"]),
+                seed=int(d["seed"]),
+                n_augmented=int(d.get("n_augmented", 0)))
+        n = grid.n_nodes
+        nodes = np.concatenate([t.a, t.b, [t.input_node, t.ground_node]])
+        if np.any((nodes < 0) | (nodes >= n)):
+            raise DataError(f"node index outside 0..{n - 1}")
+        if not np.all((t.w_prime >= 0.0) & (t.w_prime <= 1.0)):
+            raise ParameterError("w_prime must lie in [0, 1]")
+        if not np.all((t.w == 0) | (t.w == 1)):
+            raise ParameterError("w must be 0 or 1")
+        return t
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkTopology":
         return cls.from_dict(json.loads(text))
 
 
-def _components(n_nodes: int, edges: List[Edge]) -> np.ndarray:
-    """Connected-component label per node (union-find)."""
-    parent = np.arange(n_nodes)
+def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label per node (union-find over edges a[e]-b[e])."""
+    parent = list(range(n_nodes))
 
     def find(x):
         root = x
@@ -202,16 +213,16 @@ def _components(n_nodes: int, edges: List[Edge]) -> np.ndarray:
             parent[x], x = root, parent[x]
         return root
 
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[rb] = ra
-    return np.fromiter((find(i) for i in range(n_nodes)), dtype=int, count=n_nodes)
+    for u, v in zip(a.tolist(), b.tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+    return np.array([find(i) for i in range(n_nodes)], dtype=int)
 
 
 def has_path(t: NetworkTopology) -> bool:
     """True if some chain of devices joins the input node to ground."""
-    labels = _components(t.grid.n_nodes, t.edges)
+    labels = _components(t.grid.n_nodes, t.a, t.b)
     return labels[t.input_node] == labels[t.ground_node]
 
 
@@ -249,10 +260,9 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
         ranges = default_ranges()
 
     pos = t.grid.positions
-    edges = list(t.edges)
-    added = 0
+    a, b, params = t.a, t.b, t.params
     while True:
-        labels = _components(t.grid.n_nodes, edges)
+        labels = _components(t.grid.n_nodes, a, b)
         if labels[t.input_node] == labels[t.ground_node]:
             break
         inside = labels == labels[t.input_node]
@@ -260,15 +270,18 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
         dst = np.flatnonzero(~inside)
         d = np.sqrt(((pos[src][:, None, :] - pos[dst][None, :, :]) ** 2).sum(axis=2))
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        for a, b in _lattice_chain(t.grid, int(src[i]), int(dst[j])):
-            edges.append(Edge(a=a, b=b,
-                              params=sample_device_params(ranges, rng),
-                              state=DeviceState()))
-            added += 1
+        chain = np.array(_lattice_chain(t.grid, int(src[i]), int(dst[j])))
+        a = np.concatenate([a, chain[:, 0]])
+        b = np.concatenate([b, chain[:, 1]])
+        params = np.vstack([params] + [sample_device_params(ranges, rng)
+                                       for _ in chain])
+    added = a.size - t.a.size
     log.info("connectivity augmentation added %d edge(s)", added)
-    return NetworkTopology(grid=t.grid, edges=edges, input_node=t.input_node,
-                           ground_node=t.ground_node, seed=t.seed,
-                           n_augmented=t.n_augmented + added)
+    return NetworkTopology(grid=t.grid, a=a, b=b, params=params,
+                           w_prime=np.concatenate([t.w_prime, np.zeros(added)]),
+                           w=np.concatenate([t.w, np.zeros(added, dtype=int)]),
+                           input_node=t.input_node, ground_node=t.ground_node,
+                           seed=t.seed, n_augmented=t.n_augmented + added)
 
 
 def generate_network(grid: Grid, shape: BetaShape, xi: int,
@@ -299,18 +312,21 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
 
     dmap = distance_map(grid)
     n = grid.n_nodes
-    edges: List[Edge] = []
-    for _ in range(n_edges):
+    a = np.empty(n_edges, dtype=int)
+    b = np.empty(n_edges, dtype=int)
+    params = np.empty((n_edges, len(_PARAM_KEYS)))
+    for e in range(n_edges):
         start = int(rng.integers(n))
         target = float(beta_sample(shape, rng))
         diffs = np.abs(dmap[start] - target)
         diffs[start] = np.inf
         ties = np.flatnonzero(diffs == diffs.min())
-        other = int(ties[rng.integers(ties.size)])
-        edges.append(Edge(a=start, b=other,
-                          params=sample_device_params(ranges, rng),
-                          state=DeviceState()))
+        a[e] = start
+        b[e] = ties[rng.integers(ties.size)]
+        params[e] = sample_device_params(ranges, rng)
 
-    t = NetworkTopology(grid=grid, edges=edges, input_node=input_node,
-                        ground_node=ground_node, seed=int(seed), n_augmented=0)
+    t = NetworkTopology(grid=grid, a=a, b=b, params=params,
+                        w_prime=np.zeros(n_edges), w=np.zeros(n_edges, dtype=int),
+                        input_node=input_node, ground_node=ground_node,
+                        seed=int(seed), n_augmented=0)
     return ensure_connected(t, rng, ranges)

@@ -1,8 +1,17 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from rsnsim.device import DeviceParams, DeviceState
-from rsnsim.topology import Edge, NetworkTopology, build_grid
+from rsnsim.device import _PARAM_KEYS, DeviceParams
+from rsnsim.topology import NetworkTopology, build_grid
+
+
+def stamped_edges(t):
+    """(a, b, conductance) per device of a fixed-conductance topology: the
+    kernel's floored g_floor plus the assembler's parallel g_floor path."""
+    g_floor = t.params[:, _PARAM_KEYS.index("g_floor")]
+    return list(zip(t.a.tolist(), t.b.tolist(), (2.0 * g_floor).tolist()))
 
 
 def fixed_conductance_params(g: float, lam: float = 0.0) -> DeviceParams:
@@ -26,10 +35,14 @@ def linear_topology(edges, input_node=0, ground_node=None, interface_dim=4,
     grid = build_grid(interface_dim, subdivision)
     if ground_node is None:
         ground_node = grid.n_nodes - 1
-    es = [Edge(a=a, b=b, params=fixed_conductance_params(g), state=DeviceState())
-          for a, b, g in edges]
-    return NetworkTopology(grid=grid, edges=es, input_node=input_node,
-                           ground_node=ground_node, seed=0)
+    n = len(edges)
+    return NetworkTopology(
+        grid=grid,
+        a=np.array([a for a, _, _ in edges], dtype=int),
+        b=np.array([b for _, b, _ in edges], dtype=int),
+        params=np.array([astuple(fixed_conductance_params(g)) for _, _, g in edges]),
+        w_prime=np.zeros(n), w=np.zeros(n, dtype=int),
+        input_node=input_node, ground_node=ground_node, seed=0)
 
 
 @pytest.fixture

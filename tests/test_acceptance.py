@@ -21,7 +21,7 @@ from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
 from rsnsim.solver import assemble, simulate, sine_waveform, solve_step
 from rsnsim.topology import BetaShape, build_grid, distance_map, generate_network
 
-from tests.conftest import linear_topology
+from tests.conftest import linear_topology, stamped_edges
 from tests.oracles import solve_resistive_network
 from tests.test_solver import _random_linear_topology
 
@@ -127,9 +127,9 @@ def test_criterion_03_circuit_oracle_equivalence():
             rng = np.random.default_rng(1000 + trial)
             t = _random_linear_topology(rng, n_edges=30)
             assert t.grid.n_nodes <= 12
-            oracle_edges = [(e.a, e.b, 2.0 * e.params.g_floor) for e in t.edges]
+            oracle_edges = stamped_edges(t)
             v_in = float(rng.uniform(0.5, 8.0))
-            sys = assemble(t, np.zeros(len(t.edges)), v_in)
+            sys = assemble(t, np.zeros(t.edge_count), v_in)
             v, i_src = solve_step(sys)
             res = np.abs(sys.matrix @ np.linalg.solve(sys.matrix, sys.rhs)
                          - sys.rhs).max()
@@ -141,7 +141,7 @@ def test_criterion_03_circuit_oracle_equivalence():
         # every step of a time-stepped linear simulation
         rng = np.random.default_rng(1100)
         t = _random_linear_topology(rng, n_edges=25)
-        oracle_edges = [(e.a, e.b, 2.0 * e.params.g_floor) for e in t.edges]
+        oracle_edges = stamped_edges(t)
         wave = sine_waveform(3.0)
         trace = simulate(t, wave, dt=1e-3, duration=0.2)
         iface = t.grid.interface_indices
@@ -264,7 +264,8 @@ def test_criterion_10_generation_statistics():
                                  default_ranges(),
                                  np.random.default_rng(derive_seed(ACCEPT_SEED, a, b)),
                                  edge_count=2000)
-            lens = [dmap[e.a, e.b] for e in t.edges[:t.generated_edge_count]]
+            n_gen = t.generated_edge_count
+            lens = dmap[t.a[:n_gen], t.b[:n_gen]]
             means[(a, b)] = np.mean(lens)
         # mu = 2/7 < 1/2 < 10/11
         assert means[(2, 5)] < means[(1, 1)] < means[(10, 1)]

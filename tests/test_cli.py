@@ -84,6 +84,16 @@ class TestGenerate:
         cfg = write_json(tmp_path / "gen.json", dict(GEN_DOC, pitch=3))
         assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "pitch" in caplog.text
+        # values that a cast would coerce are rejected too
+        for key, value in (("xi", 2.7), ("xi", True), ("seed", "7"),
+                           ("subdivision", 1.5), ("edge_count", 99.5),
+                           ("input_node", False)):
+            caplog.clear()
+            cfg = write_json(tmp_path / "gen.json", dict(GEN_DOC, **{key: value}))
+            assert main(["generate", "--config", cfg,
+                         "--out", str(tmp_path)]) == 1, (key, value)
+            assert key in caplog.text
+        assert not (tmp_path / "topology.json").exists()
 
 
 class TestSimulate:
@@ -123,11 +133,26 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_corrupt_topology_exits_2(self, tmp_path):
+    def test_corrupt_topology_exits_2(self, tmp_path, topo_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--topology", str(bad),
                      "--out", str(tmp_path)]) == 2
+
+        out = tmp_path / "out"
+        for edit in (lambda d: d["edges"][3].update(b=9999),
+                     lambda d: d["edges"][3].update(a=-1),
+                     lambda d: d.update(ground_node=500),
+                     lambda d: d["edges"][3]["params"].update(tau=0.0),
+                     lambda d: d["edges"][3]["params"].pop("eta"),
+                     lambda d: d["edges"][3]["state"].update(w_prime=1.5),
+                     lambda d: d["edges"][3]["state"].update(w=2)):
+            doc = json.loads(open(topo_file).read())
+            edit(doc)
+            write_json(bad, doc)
+            assert main(["simulate", "--topology", str(bad),
+                         "--out", str(out)]) == 2, doc["edges"][3]
+        assert not (out / "trace.csv").exists()
 
 
 class TestAnalyze:
@@ -207,6 +232,21 @@ class TestSweep:
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, voltages=[1]))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "voltages" in caplog.text
+        # values that a cast would coerce are rejected before any run
+        for key, value in (("center", "false"), ("center", 0), ("xis", [2.7]),
+                           ("xis", [True]), ("trials", 1.9), ("base_seed", "5"),
+                           ("interface_dim", 4.5)):
+            caplog.clear()
+            cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, **{key: value}))
+            assert main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path)]) == 1, (key, value)
+            assert key in caplog.text
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, trials=1.0))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "records.csv").read_text().splitlines()) == 3
 
 
 class TestHierarchyCommand:
@@ -220,6 +260,18 @@ class TestHierarchyCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "hierarchy"
         assert manifest["config"]["k"] == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("readout_b", 99), ("readout_a", 17), ("k", 2.5), ("readout_a", True),
+    ])
+    def test_bad_value_exits_1(self, tmp_path, caplog, key, value):
+        doc = dict(SWEEP_DOC, alphas=[1.0], trials=1, k=2,
+                   readout_a=2, readout_b=9)
+        doc[key] = value
+        cfg = write_json(tmp_path / "h.json", doc)
+        assert main(["hierarchy", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "readout" in caplog.text or key in caplog.text
+        assert not (tmp_path / "records.csv").exists()
 
 
 def test_trace_csv_read_back_matches(tmp_path):

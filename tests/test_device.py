@@ -1,16 +1,21 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import (DEFAULT_PARAMS, DeviceParams, DeviceState,
-                           ParamRanges, advance_state_batch, apply_hysteresis,
-                           conductance, conductance_batch, current,
-                           default_ranges, sample_device_params,
-                           step_internal_state)
+from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, DeviceParams,
+                           ParamRanges, advance_state_batch, conductance_batch,
+                           default_ranges, hysteresis_batch,
+                           sample_device_params)
 from rsnsim.errors import ParameterError
+from rsnsim.topology import NetworkTopology
+
+from tests.conftest import linear_topology
+
+TAU = _PARAM_KEYS.index("tau")
 
 
 def params(**over):
@@ -18,6 +23,30 @@ def params(**over):
                 eta=4.0, tau=0.2, th_low=0.4, th_high=0.6, g_floor=1e-12)
     base.update(over)
     return DeviceParams(**base)
+
+
+def conductance(w, V, p):
+    """Conductance of one device in binary state ``w`` at bias ``V``."""
+    return float(conductance_batch(w, V, p.epsilon, p.theta, p.gamma, p.delta,
+                                   p.g_floor))
+
+
+def advance(w_prime, V, dt, p, decay_mode="state_dependent"):
+    """One Euler step of one device's internal state."""
+    return float(advance_state_batch(w_prime, V, dt, p.lam, p.eta, p.tau,
+                                     decay_mode=decay_mode))
+
+
+def threshold(w_prime, w, p):
+    """One device's binary state after hysteresis."""
+    return int(hysteresis_batch(w_prime, w, p.th_low, p.th_high))
+
+
+def load_with_state(w_prime, w):
+    """Load a one-device topology document whose device has this state."""
+    doc = linear_topology([(0, 15, 1.0)]).to_dict()
+    doc["edges"][0]["state"] = {"w_prime": w_prime, "w": w}
+    return NetworkTopology.from_dict(doc)
 
 
 class TestConductance:
@@ -50,20 +79,20 @@ class TestConductance:
         assert conductance(0, 0.5, p) == 1e-9
         assert conductance(1, 0.5, p) == 1e-9
 
-    def test_rejects_nonfinite_bias(self):
-        with pytest.raises(ParameterError):
-            conductance(0, float("nan"), params())
-
     def test_rejects_bad_w(self):
+        # the binary state enters the program through the topology loader
         with pytest.raises(ParameterError):
-            conductance(2, 0.0, params())
+            load_with_state(0.0, 2)
+        with pytest.raises(ParameterError):
+            load_with_state(0.0, -1)
 
     @given(v=st.floats(-10, 10, allow_nan=False),
            w=st.sampled_from([0, 1]))
     @settings(max_examples=60, deadline=None)
     def test_current_antisymmetric(self, v, w):
         p = params()
-        assert current(w, -v, p) == -current(w, v, p)
+        # current is G(w, V) * V
+        assert conductance(w, -v, p) * -v == -(conductance(w, v, p) * v)
 
     def test_batch_matches_scalar(self, rng):
         p = params()
@@ -77,90 +106,77 @@ class TestConductance:
 
 class TestInternalState:
     def test_zero_bias_fixed_point_at_zero(self):
-        s = DeviceState(w_prime=0.0, w=0)
-        out = step_internal_state(s, 0.0, 0.01, params())
-        assert out.w_prime == 0.0
+        assert advance(0.0, 0.0, 0.01, params()) == 0.0
 
     def test_zero_bias_fixed_point_at_one(self):
-        s = DeviceState(w_prime=1.0, w=1)
-        out = step_internal_state(s, 0.0, 0.01, params())
-        assert out.w_prime == 1.0
+        assert advance(1.0, 0.0, 0.01, params()) == 1.0
 
     def test_single_euler_step_hand_value(self):
         # 0.5 - 0.1 * (0.5/1.0) * (1 - 0.5) = 0.475
-        s = DeviceState(w_prime=0.5, w=0)
-        out = step_internal_state(s, 0.0, 0.1, params(tau=1.0))
-        assert out.w_prime == pytest.approx(0.475, abs=1e-15)
+        assert advance(0.5, 0.0, 0.1, params(tau=1.0)) == pytest.approx(0.475, abs=1e-15)
 
     def test_plain_decay_mode(self):
         # 0.5 - 0.1 * 0.5/1.0 = 0.45
-        s = DeviceState(w_prime=0.5, w=0)
-        out = step_internal_state(s, 0.0, 0.1, params(tau=1.0), decay_mode="plain")
-        assert out.w_prime == pytest.approx(0.45, abs=1e-15)
+        out = advance(0.5, 0.0, 0.1, params(tau=1.0), decay_mode="plain")
+        assert out == pytest.approx(0.45, abs=1e-15)
 
     def test_w_untouched(self):
-        s = DeviceState(w_prime=0.9, w=1)
-        assert step_internal_state(s, 1.0, 0.01, params()).w == 1
+        # the advance kernel moves only w_prime; w changes through hysteresis
+        p = params()
+        assert threshold(advance(0.9, 1.0, 0.01, p), 1, p) == 1
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ParameterError):
-            step_internal_state(DeviceState(), 0.0, 0.0, params())
+            advance(0.0, 0.0, 0.0, params())
 
     def test_rejects_unknown_decay_mode(self):
         with pytest.raises(ParameterError):
-            step_internal_state(DeviceState(), 0.0, 0.01, params(), decay_mode="x")
+            advance(0.0, 0.0, 0.01, params(), decay_mode="x")
 
     @given(wp=st.floats(0.01, 0.99), dt=st.floats(1e-3, 1.0),
            tau=st.floats(0.05, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_zero_bias_monotone_decay(self, wp, dt, tau):
-        out = step_internal_state(DeviceState(w_prime=wp), 0.0, dt, params(tau=tau))
-        assert out.w_prime < wp
+        assert advance(wp, 0.0, dt, params(tau=tau)) < wp
 
     @given(wp=st.floats(0, 1), v=st.floats(-50, 50, allow_nan=False),
            dt=st.floats(1e-4, 10.0))
     @settings(max_examples=80, deadline=None)
     def test_state_stays_clamped(self, wp, v, dt):
-        out = step_internal_state(DeviceState(w_prime=wp), v, dt, params())
-        assert 0.0 <= out.w_prime <= 1.0
+        assert 0.0 <= advance(wp, v, dt, params()) <= 1.0
 
     def test_growth_uses_bias_magnitude(self):
         # no device polarity: both half-cycles pump the state
-        up = step_internal_state(DeviceState(w_prime=0.2), 1.0, 0.01, params())
-        dn = step_internal_state(DeviceState(w_prime=0.2), -1.0, 0.01, params())
-        assert up.w_prime == dn.w_prime > 0.2
+        up = advance(0.2, 1.0, 0.01, params())
+        dn = advance(0.2, -1.0, 0.01, params())
+        assert up == dn > 0.2
 
     def test_extreme_bias_saturates(self):
-        out = step_internal_state(DeviceState(w_prime=0.0), 300.0, 1.0, params())
-        assert out.w_prime == 1.0
+        assert advance(0.0, 300.0, 1.0, params()) == 1.0
 
     def test_frozen_device_stays_frozen_under_extreme_bias(self):
         # lam = 0 must win against any sinh magnitude
-        out = step_internal_state(DeviceState(w_prime=0.3), 500.0, 1.0,
-                                  params(lam=0.0))
-        assert out.w_prime < 0.3
+        assert advance(0.3, 500.0, 1.0, params(lam=0.0)) < 0.3
 
 
 class TestHysteresis:
     def test_above_high_switches_on(self):
-        s = DeviceState(w_prime=0.7, w=0)
-        assert apply_hysteresis(s, params(th_high=0.6)).w == 1
+        assert threshold(0.7, 0, params(th_high=0.6)) == 1
 
     def test_below_low_switches_off(self):
-        s = DeviceState(w_prime=0.3, w=1)
-        assert apply_hysteresis(s, params(th_low=0.4)).w == 0
+        assert threshold(0.3, 1, params(th_low=0.4)) == 0
 
     def test_dead_band_retains(self):
         p = params(th_low=0.4, th_high=0.6)
-        assert apply_hysteresis(DeviceState(w_prime=0.5, w=1), p).w == 1
-        assert apply_hysteresis(DeviceState(w_prime=0.5, w=0), p).w == 0
+        assert threshold(0.5, 1, p) == 1
+        assert threshold(0.5, 0, p) == 0
 
     def test_full_loop_has_exactly_two_transitions(self):
         p = params()
         ramp = np.concatenate([np.linspace(0, 1, 201), np.linspace(1, 0, 201)])
         w, ups, downs = 0, [], []
         for wp in ramp:
-            new_w = apply_hysteresis(DeviceState(w_prime=float(wp), w=w), p).w
+            new_w = threshold(float(wp), w, p)
             if new_w != w:
                 (ups if new_w == 1 else downs).append(float(wp))
             w = new_w
@@ -174,13 +190,13 @@ class TestSampling:
             ("epsilon", 1e-4), ("theta", 4.0), ("gamma", 4e-4), ("delta", 2.0),
             ("lam", 1.0), ("eta", 4.0), ("tau", 0.2), ("th_low", 0.4),
             ("th_high", 0.6), ("g_floor", 1e-9))})
-        p = sample_device_params(r, rng)
-        assert p == DEFAULT_PARAMS
+        row = sample_device_params(r, rng)
+        assert row.tolist() == list(astuple(DEFAULT_PARAMS))
 
     def test_uniform_mean(self):
         r = default_ranges()  # tau range is [0.1, 0.3]
         rng = np.random.default_rng(5)
-        taus = [sample_device_params(r, rng).tau for _ in range(10_000)]
+        taus = [sample_device_params(r, rng)[TAU] for _ in range(10_000)]
         assert abs(np.mean(taus) - 0.2) < 0.004  # 0.02 scaled to the range width
 
     def test_uniform_mean_explicit_interval(self):
@@ -189,14 +205,14 @@ class TestSampling:
         kw["tau"] = (0.5, 1.5)
         r = ParamRanges(**{k: tuple(v) for k, v in kw.items()})
         rng = np.random.default_rng(6)
-        taus = [sample_device_params(r, rng).tau for _ in range(10_000)]
+        taus = [sample_device_params(r, rng)[TAU] for _ in range(10_000)]
         assert abs(np.mean(taus) - 1.0) < 0.02
 
     def test_same_seed_same_sequence(self):
         r = default_ranges()
         a = [sample_device_params(r, np.random.default_rng(9)) for _ in range(5)]
         b = [sample_device_params(r, np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ParameterError):
@@ -228,10 +244,12 @@ class TestValidation:
             params(th_low=0.6, th_high=0.4)
 
     def test_state_bounds(self):
+        # device states enter the program through the topology loader
+        assert load_with_state(0.5, 1).w_prime.tolist() == [0.5]
         with pytest.raises(ParameterError):
-            DeviceState(w_prime=1.5)
+            load_with_state(1.5, 0)
         with pytest.raises(ParameterError):
-            DeviceState(w=2)
+            load_with_state(0.0, 2)
 
     def test_params_roundtrip(self):
         d = DEFAULT_PARAMS.to_dict()
@@ -255,6 +273,4 @@ def test_advance_state_batch_vectorizes(rng):
     vs = rng.uniform(-4, 4, size=30)
     batch = advance_state_batch(wp, vs, 1e-3, p.lam, p.eta, p.tau)
     for i in range(30):
-        scalar = step_internal_state(DeviceState(w_prime=float(wp[i])),
-                                     float(vs[i]), 1e-3, p)
-        assert batch[i] == scalar.w_prime
+        assert batch[i] == advance(float(wp[i]), float(vs[i]), 1e-3, p)

@@ -6,11 +6,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import DeviceState, default_ranges
+from rsnsim.device import default_ranges
 from rsnsim.errors import ParameterError
-from rsnsim.topology import (BetaShape, Edge, NetworkTopology, beta_sample,
+from rsnsim.topology import (BetaShape, NetworkTopology, beta_sample,
                              build_grid, distance_map, ensure_connected,
                              generate_network, has_path)
+
+from tests.conftest import linear_topology
 
 
 def _iface_corners(grid):
@@ -144,10 +146,10 @@ class TestGeneration:
             t = generate_network(g, BetaShape(1, 3), 2, inp, gnd,
                                  default_ranges(),
                                  np.random.default_rng(seed), seed=seed)
-            for e in t.edges:
-                assert e.a != e.b
-                assert 0 <= e.a < g.n_nodes and 0 <= e.b < g.n_nodes
-                assert e.state == DeviceState(w_prime=0.0, w=0)
+            assert np.all(t.a != t.b)
+            assert np.all((0 <= t.a) & (t.a < g.n_nodes))
+            assert np.all((0 <= t.b) & (t.b < g.n_nodes))
+            assert np.all(t.w_prime == 0.0) and np.all(t.w == 0)
             assert has_path(t)
 
     def test_short_wire_snapped_mean(self):
@@ -158,7 +160,8 @@ class TestGeneration:
         t = generate_network(g, BetaShape(1, 10), 4, inp, gnd,
                              default_ranges(), rng, edge_count=1000)
         d = distance_map(g)
-        lens = [d[e.a, e.b] for e in t.edges[:t.generated_edge_count]]
+        n_gen = t.generated_edge_count
+        lens = d[t.a[:n_gen], t.b[:n_gen]]
         assert abs(np.mean(lens) - 1.0 / 11.0) < 0.05
 
     def test_long_vs_short_wire_means(self):
@@ -170,7 +173,8 @@ class TestGeneration:
             t = generate_network(g, BetaShape(a, b), 4, inp, gnd,
                                  default_ranges(),
                                  np.random.default_rng(77), seed=77)
-            return np.mean([d[e.a, e.b] for e in t.edges[:t.generated_edge_count]])
+            n_gen = t.generated_edge_count
+            return np.mean(d[t.a[:n_gen], t.b[:n_gen]])
 
         assert mean_len(10, 1) > mean_len(1, 10)
 
@@ -209,12 +213,7 @@ class TestGeneration:
 
 class TestEnsureConnected:
     def _island_topology(self):
-        from tests.conftest import fixed_conductance_params
-        g = build_grid(4, 0)
-        edges = [Edge(a=1, b=2, params=fixed_conductance_params(1.0),
-                      state=DeviceState())]
-        return NetworkTopology(grid=g, edges=edges, input_node=0,
-                               ground_node=15, seed=0)
+        return linear_topology([(1, 2, 1.0)], input_node=0, ground_node=15)
 
     def test_connected_input_returned_unchanged(self, rng):
         g = build_grid(4, 0)
@@ -237,6 +236,5 @@ class TestEnsureConnected:
     def test_chain_edges_are_unit_lattice_steps(self, rng):
         t2 = ensure_connected(self._island_topology(), rng, default_ranges())
         g = t2.grid
-        for e in t2.edges[1:]:
-            step = np.abs(g.positions[e.a] - g.positions[e.b]).sum()
-            assert step == 1.0
+        steps = np.abs(g.positions[t2.a[1:]] - g.positions[t2.b[1:]]).sum(axis=1)
+        assert np.all(steps == 1.0)
