@@ -11,8 +11,8 @@ from .errors import (ConfigError, DataError, GenerationError, NumericalError,
                      ParameterError, RsnError)
 from .harness import (HierarchyConfig, SweepConfig, SweepRecord, aggregate,
                       derive_seed, run_hierarchy, run_single, run_sweep)
-from .solver import (LinearSystem, SimulationTrace, assemble, dc_waveform,
-                     simulate, sine_waveform, solve_step)
+from .solver import (LinearSystem, SimulationTrace, TraceBatch, assemble,
+                     dc_waveform, simulate, sine_waveform, solve_step)
 from .topology import (BetaShape, Grid, NetworkTopology, beta_sample,
                        build_grid, distance_map, ensure_connected,
                        generate_network, has_path)
@@ -23,7 +23,7 @@ __all__ = [
     "EnergyResult", "EntropyResult", "GenerationError", "Grid",
     "HierarchyConfig", "LinearSystem", "NetworkTopology", "NumericalError",
     "ParamRanges", "ParameterError", "RsnError", "SimulationTrace",
-    "SweepConfig", "SweepRecord",
+    "SweepConfig", "SweepRecord", "TraceBatch",
     "advance_state_batch", "aggregate", "assemble", "beta_sample",
     "build_grid", "conductance_batch", "dc_waveform", "default_ranges",
     "derive_seed", "differential_readout", "distance_map", "energy",

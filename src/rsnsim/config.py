@@ -7,12 +7,15 @@ defaults.  Command-line flags override file values.
 from __future__ import annotations
 
 import json
+import math
+from functools import partial
 from typing import Optional
 
 from .device import ParamRanges, default_ranges
 from .errors import ConfigError
 from .harness import HierarchyConfig, SweepConfig
 from .solver import DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY
+from .topology import _integral
 
 GENERATE_KEYS = {"interface_dim", "subdivision", "alpha", "beta", "xi",
                  "edge_count", "ranges", "seed", "input_node", "ground_node"}
@@ -45,12 +48,22 @@ def check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
-def _int(x, key: str) -> int:
-    """An integer value; booleans and non-integral numbers are rejected."""
-    if isinstance(x, bool) or not (isinstance(x, int)
-                                   or isinstance(x, float) and x.is_integer()):
-        raise ConfigError(f"'{key}' must be an integer, got {x!r}")
-    return int(x)
+# An integer value; booleans and non-integral numbers are config errors,
+# by the same rule that checks topology files.
+_int = partial(_integral, error=ConfigError)
+
+
+def _float(x, key: str) -> float:
+    """A finite float; booleans, strings, NaN, infinity and integers beyond
+    the float range are rejected."""
+    try:
+        ok = (not isinstance(x, bool) and isinstance(x, (int, float))
+              and math.isfinite(x))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"'{key}' must be a finite number, got {x!r}")
+    return float(x)
 
 
 def parse_ranges(doc: dict) -> ParamRanges:
@@ -59,6 +72,9 @@ def parse_ranges(doc: dict) -> ParamRanges:
         return default_ranges()
     if not isinstance(raw, dict):
         raise ConfigError("'ranges' must be an object of [lo, hi] pairs")
+    for key, pair in raw.items():
+        for x in pair if isinstance(pair, list) else [pair]:
+            _float(x, f"ranges.{key}")
     try:
         return ParamRanges.from_dict(raw)
     except Exception as exc:
@@ -74,8 +90,8 @@ def parse_generate(doc: dict) -> dict:
     out = {
         "interface_dim": _int(doc.get("interface_dim", 4), "interface_dim"),
         "subdivision": _int(doc.get("subdivision", 1), "subdivision"),
-        "alpha": float(doc.get("alpha", 1.0)),
-        "beta": float(doc.get("beta", 1.0)),
+        "alpha": _float(doc.get("alpha", 1.0), "alpha"),
+        "beta": _float(doc.get("beta", 1.0), "beta"),
         "xi": _int(doc.get("xi", 4), "xi"),
         "edge_count": opt("edge_count"),
         "ranges": parse_ranges(doc),
@@ -91,10 +107,10 @@ def parse_generate(doc: dict) -> dict:
 def parse_simulate(doc: dict) -> dict:
     check_keys(doc, SIMULATE_KEYS, "simulate config")
     out = {
-        "amplitude": float(doc.get("amplitude", 1.0)),
-        "frequency": float(doc.get("frequency", DEFAULT_FREQUENCY)),
-        "dt": float(doc.get("dt", DEFAULT_DT)),
-        "duration": float(doc.get("duration", DEFAULT_DURATION)),
+        "amplitude": _float(doc.get("amplitude", 1.0), "amplitude"),
+        "frequency": _float(doc.get("frequency", DEFAULT_FREQUENCY), "frequency"),
+        "dt": _float(doc.get("dt", DEFAULT_DT), "dt"),
+        "duration": _float(doc.get("duration", DEFAULT_DURATION), "duration"),
         "decay_mode": str(doc.get("decay_mode", "state_dependent")),
         "decimation": _int(doc.get("decimation", 1), "decimation"),
     }
@@ -107,18 +123,19 @@ def parse_simulate(doc: dict) -> dict:
 
 def _sweep_kwargs(doc: dict) -> dict:
     kw = {}
-    for key, cast in (("alphas", float), ("betas", float), ("amplitudes", float)):
+    for key in ("alphas", "betas", "amplitudes"):
         if key in doc:
-            kw[key] = tuple(cast(x) for x in doc[key])
+            kw[key] = tuple(_float(x, key) for x in doc[key])
     if "xis" in doc:
         kw["xis"] = tuple(_int(x, "xis") for x in doc["xis"])
     for key in ("trials", "base_seed", "interface_dim", "subdivision"):
         if key in doc:
             kw[key] = _int(doc[key], key)
-    for key, cast in (("dt", float), ("duration", float), ("frequency", float),
-                      ("decay_mode", str)):
+    for key in ("dt", "duration", "frequency"):
         if key in doc:
-            kw[key] = cast(doc[key])
+            kw[key] = _float(doc[key], key)
+    if "decay_mode" in doc:
+        kw["decay_mode"] = str(doc["decay_mode"])
     if "center" in doc:
         if not isinstance(doc["center"], bool):
             raise ConfigError(f"'center' must be true or false, got {doc['center']!r}")

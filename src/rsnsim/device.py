@@ -232,8 +232,9 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
         else:
             decay = w_prime / tau
         out = w_prime + dt * (grow - decay)
-    # overflow of dt * grow under extreme bias clamps to 1
-    return np.clip(np.nan_to_num(out, nan=1.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+    # Clamp to [0, 1]: fmin also sends NaN and +inf (overflow of dt * grow
+    # under extreme bias) to 1, and fmax sends -inf to 0.
+    return np.fmax(np.fmin(out, 1.0), 0.0)
 
 
 def hysteresis_batch(w_prime, w, th_low, th_high):

@@ -146,35 +146,47 @@ def run_single(cfg: SweepConfig, alpha: float, beta: float, xi: int, v: float,
 def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
                   beta: float, xi: int, v: float, seed: int,
                   trial: int = 0) -> SweepRecord:
-    """Simulate K independent networks under the same waveform.
+    """Simulate K independent networks in lockstep under the same waveform.
 
     Entropy is measured over the K differential readouts; energies add
-    (the member circuits are disjoint).
+    (the member circuits are disjoint).  A failing cell names its
+    lowest-index failing member with that member's own error, exactly as
+    if the members ran one after another.
     """
-    waveform = sine_waveform(v, cfg.frequency)
-    readouts = []
-    total_energy = 0.0
-    switching = 0
-    edges = 0
-    for k in range(hier.k):
-        mseed = member_seed(seed, k)
+    seeds = [member_seed(seed, k) for k in range(hier.k)]
+    topos, failure = [], None
+    for k, mseed in enumerate(seeds):
         try:
-            topo = _make_topology(cfg, alpha, beta, xi, mseed)
-            trace = simulate(topo, waveform, cfg.dt, cfg.duration,
-                             decay_mode=cfg.decay_mode)
+            topos.append(_make_topology(cfg, alpha, beta, xi, mseed))
         except Exception as exc:
-            raise RsnError(f"hierarchy member {k} (seed {mseed}) failed: "
-                           f"{exc}") from exc
-        readouts.append(differential_readout(trace, hier.readout_a, hier.readout_b))
+            failure = (k, exc)
+            break
+    while topos:
+        try:
+            traces = simulate(topos, sine_waveform(v, cfg.frequency), cfg.dt,
+                              cfg.duration, decay_mode=cfg.decay_mode)
+            break
+        except Exception as exc:
+            # A member's trace does not depend on its batch, so stepping
+            # the members before the failed one again finds any of them
+            # that would fail later in time.
+            failure = (getattr(exc, "member", 0), exc)
+            topos = topos[:failure[0]]
+    if failure:
+        k, exc = failure
+        raise RsnError(f"hierarchy member {k} (seed {seeds[k]}) failed: "
+                       f"{exc}") from exc
+    readouts = [differential_readout(trace, hier.readout_a, hier.readout_b)
+                for trace in traces]
+    total_energy = 0.0
+    for trace in traces:  # left to right; sum() compensates on Python >= 3.12
         total_energy += energy(trace).energy_joules
-        switching += trace.switching_events
-        edges += topo.edge_count
-    X = np.column_stack(readouts)
-    ent = entropy(X, center=cfg.center)
+    ent = entropy(np.column_stack(readouts), center=cfg.center)
     return SweepRecord(alpha=alpha, beta=beta, xi=xi, v=v, trial=trial,
                        seed=seed, entropy_bits=ent.entropy_bits,
                        energy_joules=total_energy,
-                       switching_events=switching, edge_count=edges)
+                       switching_events=traces.switching_events,
+                       edge_count=sum(t.edge_count for t in topos))
 
 
 def _cells(cfg: SweepConfig):

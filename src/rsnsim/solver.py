@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,70 +58,121 @@ class LinearSystem:
         return self.matrix.shape[0]
 
 
+def _stamps(t: NetworkTopology):
+    """One topology's unknown rows and matrix stamps.
+
+    Returns (node_rows, dim, flat, sign, edge): the row of each grid node
+    (-1 for ground and floating islands), the system size, and for every
+    stamp its flat index into the dim x dim matrix, its sign and its edge.
+    """
+    n = t.grid.n_nodes
+    if t.input_node == t.ground_node:
+        raise ParameterError("input and ground nodes must differ")
+    a, b = t.a, t.b
+    if np.any(a == b):
+        raise ParameterError("topology contains a self-loop")
+
+    # Only the component containing ground carries current; nodes of
+    # floating islands are pinned at 0 V (exact: no source reaches
+    # them), which keeps the matrix nonsingular without perturbing
+    # the live circuit.
+    labels = _components(n, a, b)
+    active = labels == labels[t.ground_node]
+    if not active[t.input_node]:
+        raise ParameterError("no input->ground path; run ensure_connected first")
+    unknowns = np.flatnonzero(active & (np.arange(n) != t.ground_node))
+    rows = np.full(n, -1, dtype=int)
+    rows[unknowns] = np.arange(unknowns.size)
+    dim = unknowns.size + 1
+    ra, rb = rows[a], rows[b]
+
+    # Flattened scatter targets for the four stamps of each edge.
+    stamp_rows, stamp_cols, stamp_sign, stamp_edge = [], [], [], []
+    for r, c, s in ((ra, ra, 1.0), (rb, rb, 1.0), (ra, rb, -1.0), (rb, ra, -1.0)):
+        ok = (r >= 0) & (c >= 0)
+        stamp_rows.append(r[ok])
+        stamp_cols.append(c[ok])
+        stamp_sign.append(np.full(ok.sum(), s))
+        stamp_edge.append(np.flatnonzero(ok))
+    flat = np.concatenate(stamp_rows) * dim + np.concatenate(stamp_cols)
+    return (rows, dim, flat, np.concatenate(stamp_sign),
+            np.concatenate(stamp_edge))
+
+
 class _Assembler:
-    """Reusable scatter indices and parameter arrays for one topology."""
+    """Scatter indices and parameter rows for topologies stepped in lockstep.
 
-    def __init__(self, t: NetworkTopology):
-        n = t.grid.n_nodes
-        if t.input_node == t.ground_node:
-            raise ParameterError("input and ground nodes must differ")
-        self.ground = t.ground_node
-        self.input = t.input_node
+    The members' edges, parameter rows and stamps are concatenated, so one
+    call of each device kernel and one ``np.bincount`` per step serve every
+    member.  Member m's stamps are offset by the earlier members' dim**2,
+    so its matrix is a reshaped view of its own segment of that bincount,
+    and every entry receives the same terms in the same order as when the
+    member is assembled alone.  An error in member m's set-up carries
+    ``member = m``.
+    """
 
-        a, b = t.a, t.b
-        if np.any(a == b):
-            raise ParameterError("topology contains a self-loop")
-
-        # Only the component containing ground carries current; nodes of
-        # floating islands are pinned at 0 V (exact: no source reaches
-        # them), which keeps the matrix nonsingular without perturbing
-        # the live circuit.
-        labels = _components(n, a, b)
-        active = labels == labels[self.ground]
-        if not active[self.input]:
-            raise ParameterError("no input->ground path; run ensure_connected first")
-        unknowns = np.flatnonzero(active & (np.arange(n) != self.ground))
-        rows = np.full(n, -1, dtype=int)
-        rows[unknowns] = np.arange(unknowns.size)
-        self.node_rows = rows
-        self.source_row = unknowns.size
-        self.dim = unknowns.size + 1
-        ra, rb = rows[a], rows[b]
-
-        # Flattened scatter targets for the four stamps of each edge.
-        stamp_rows, stamp_cols, stamp_sign, stamp_edge = [], [], [], []
-        for r, c, s in ((ra, ra, 1.0), (rb, rb, 1.0), (ra, rb, -1.0), (rb, ra, -1.0)):
-            ok = (r >= 0) & (c >= 0)
-            stamp_rows.append(r[ok])
-            stamp_cols.append(c[ok])
-            stamp_sign.append(np.full(ok.sum(), s))
-            stamp_edge.append(np.flatnonzero(ok))
-        self._flat = (np.concatenate(stamp_rows) * self.dim + np.concatenate(stamp_cols))
-        self._sign = np.concatenate(stamp_sign)
-        self._edge = np.concatenate(stamp_edge)
+    def __init__(self, topologies: Sequence[NetworkTopology]):
+        grid = topologies[0].grid.to_dict()
+        n = topologies[0].grid.n_nodes
+        self.edge_slices = []  # each member's edges in the concatenated arrays
+        # per member: matrix slice and shape, rhs slice, node rows, source row
+        self._members = []
+        flat, sign, edge, ones, src, a, b = [], [], [], [], [], [], []
+        size = rhs_size = n_edges = 0
+        for m, t in enumerate(topologies):
+            try:
+                if t.grid.to_dict() != grid:
+                    raise ParameterError("lockstep members must share one grid")
+                rows, dim, f, s, e = _stamps(t)
+            except Exception as exc:
+                exc.member = m
+                raise
+            r_in, r_src = rows[t.input_node], dim - 1
+            self._members.append((slice(size, size + dim * dim), (dim, dim),
+                                  slice(rhs_size, rhs_size + dim), rows, r_src))
+            flat.append(f + size)
+            sign.append(s)
+            self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
+            edge.append(e + n_edges)
+            ones.extend((size + r_in * dim + r_src, size + r_src * dim + r_in))
+            src.append(rhs_size + r_src)
+            # endpoints as indices into the members' stacked node voltages
+            a.append(t.a + m * n)
+            b.append(t.b + m * n)
+            size += dim * dim
+            rhs_size += dim
+            n_edges += t.edge_count
+        self._flat = np.concatenate(flat)
+        self._sign = np.concatenate(sign)
+        self._edge = np.concatenate(edge)
+        self._ones = np.array(ones)
+        self._src = np.array(src)
+        self._size = size
+        self._rhs_size = rhs_size
+        self.a = np.concatenate(a)
+        self.b = np.concatenate(b)
 
         # one contiguous row per parameter, in device._PARAM_KEYS order
+        params = np.concatenate([t.params for t in topologies])
         (self.eps, self.theta, self.gamma, self.delta, self.lam, self.eta,
          self.tau, self.th_low, self.th_high,
-         self.g_floor) = np.ascontiguousarray(t.params.T)
+         self.g_floor) = np.ascontiguousarray(params.T)
 
     def conductances(self, w: np.ndarray, branch_voltages: np.ndarray) -> np.ndarray:
         g = dev.conductance_batch(w, branch_voltages, self.eps, self.theta,
                                   self.gamma, self.delta, self.g_floor)
         return g + self.g_floor  # parallel floor path per edge
 
-    def build(self, g: np.ndarray, v_in: float) -> LinearSystem:
-        dim = self.dim
+    def build(self, g: np.ndarray, v_in: float) -> List[LinearSystem]:
+        """Every member's system for one step, in member order."""
         flat = np.bincount(self._flat, weights=self._sign * g[self._edge],
-                           minlength=dim * dim)
-        matrix = flat.reshape(dim, dim)
-        r_in = self.node_rows[self.input]
-        matrix[r_in, self.source_row] = 1.0
-        matrix[self.source_row, r_in] = 1.0
-        rhs = np.zeros(dim)
-        rhs[self.source_row] = v_in
-        return LinearSystem(matrix=matrix, rhs=rhs, node_rows=self.node_rows,
-                            source_row=self.source_row)
+                           minlength=self._size)
+        flat[self._ones] = 1.0  # source column and row
+        rhs = np.zeros(self._rhs_size)
+        rhs[self._src] = v_in
+        return [LinearSystem(matrix=flat[ms].reshape(shape), rhs=rhs[rs],
+                             node_rows=rows, source_row=r_src)
+                for ms, shape, rs, rows, r_src in self._members]
 
 
 def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> LinearSystem:
@@ -130,14 +181,14 @@ def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> Li
     ``branch_voltages`` holds the previous step's per-edge voltages (zeros
     on the first step); conductances are evaluated there and floored.
     """
-    asm = _Assembler(t)
+    asm = _Assembler([t])
     branch_voltages = np.asarray(branch_voltages, dtype=float)
     if branch_voltages.shape != (t.edge_count,):
         raise DataError(f"expected {t.edge_count} branch voltages, "
                         f"got shape {branch_voltages.shape}")
     if not np.isfinite(v_in):
         raise DataError(f"source voltage must be finite, got {v_in!r}")
-    return asm.build(asm.conductances(t.w, branch_voltages), v_in)
+    return asm.build(asm.conductances(t.w, branch_voltages), v_in)[0]
 
 
 def solve_step(sys: LinearSystem, step: Optional[int] = None):
@@ -157,9 +208,8 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     if not residual < bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
-    voltages = np.zeros(sys.node_rows.size)
-    keep = sys.node_rows >= 0
-    voltages[keep] = x[sys.node_rows[keep]]
+    # row -1 (ground, floating islands) picks the appended 0 V
+    voltages = np.concatenate((x, (0.0,)))[sys.node_rows]
     # The auxiliary unknown is the current out of the input node into the
     # source; the delivered current is its negative.
     i_src = -float(x[sys.source_row])
@@ -189,10 +239,10 @@ class SimulationTrace:
         """Trace CSV text: t, v_in, i_src, node_1 ... node_N (9 significant digits)."""
         cols = [f"node_{i + 1}" for i in range(self.n_interface)]
         lines = [",".join(["t", "v_in", "i_src"] + cols)]
-        for k in range(self.n_steps):
-            row = [self.times[k], self.applied_voltage[k], self.source_current[k]]
-            row.extend(self.interface_voltages[k])
-            lines.append(",".join(f"{v:.9g}" for v in row))
+        fmt = ",".join(["%.9g"] * (3 + self.n_interface))
+        rows = np.column_stack((self.times, self.applied_voltage,
+                                self.source_current, self.interface_voltages))
+        lines.extend(fmt % tuple(row) for row in rows.tolist())
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -226,17 +276,38 @@ class SimulationTrace:
                    switching_events=0)
 
 
-def simulate(t: NetworkTopology, waveform: Callable[[float], float],
+class TraceBatch(tuple):
+    """Per-member traces of a lockstep run, in the order of its topologies."""
+
+    @property
+    def switching_events(self) -> int:
+        return sum(trace.switching_events for trace in self)
+
+
+def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
+             waveform: Callable[[float], float],
              dt: float = DEFAULT_DT, duration: float = DEFAULT_DURATION, *,
              decay_mode: str = "state_dependent",
-             decimation: int = 1) -> SimulationTrace:
-    """Time-step the network under a single source waveform.
+             decimation: int = 1) -> Union[SimulationTrace, TraceBatch]:
+    """Time-step one network, or several on one grid in lockstep, under a
+    single source waveform.
 
     Per step: assemble with the previous branch voltages, solve, compute
     fresh branch voltages, advance every device state (Euler step, then
-    hysteresis).  Device state stored on the topology is never mutated, so repeated
-    calls are bit-identical.
+    hysteresis).  Device state stored on a topology is never mutated, so
+    repeated calls are bit-identical.
+
+    Given one topology, returns its SimulationTrace.  Given a sequence,
+    returns a TraceBatch of the members' traces, each bit-identical to the
+    member's own run: the members share each device-kernel call and the
+    assembly bincount, which act entry by entry, but every member solves
+    its own system.  An exception from member m's set-up or solve carries
+    ``member = m``; one raised for all members at once carries none.
     """
+    single = isinstance(topologies, NetworkTopology)
+    members = [topologies] if single else list(topologies)
+    if not members:
+        raise ParameterError("no topology to simulate")
     if dt <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt!r}")
     if duration < dt:
@@ -245,46 +316,57 @@ def simulate(t: NetworkTopology, waveform: Callable[[float], float],
         raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
     n_steps = int(round(duration / dt))
 
-    asm = _Assembler(t)
-    iface = t.grid.interface_indices
-    w_prime = t.w_prime.copy()
-    w = t.w.copy()
-    branch_v = np.zeros(t.edge_count)
+    asm = _Assembler(members)
+    n_members, n = len(members), members[0].grid.n_nodes
+    # The members' node voltages are stacked: member m's are voltages[m*n:(m+1)*n].
+    node_slices = [slice(m * n, (m + 1) * n) for m in range(n_members)]
+    iface = members[0].grid.interface_indices + n * np.arange(n_members)[:, None]
+    voltages = np.empty(n_members * n)
+    i_src = np.empty(n_members)
+    w_prime = np.concatenate([t.w_prime for t in members])
+    w = np.concatenate([t.w for t in members])
+    branch_v = np.zeros(w.size)
+    flips = np.zeros(w.size, dtype=int)
 
-    rec_idx = range(0, n_steps, decimation)
-    n_rec = len(rec_idx)
+    n_rec = len(range(0, n_steps, decimation))
     times = np.empty(n_rec)
-    iface_v = np.empty((n_rec, iface.size))
-    i_src_rec = np.empty(n_rec)
     v_in_rec = np.empty(n_rec)
-    switching = 0
+    iface_v = np.empty((n_members, n_rec, iface.shape[1]))
+    i_src_rec = np.empty((n_members, n_rec))
 
     rec = 0
     for k in range(n_steps):
         t_k = k * dt
         v_in = float(waveform(t_k))
-        if not np.isfinite(v_in):
+        if not math.isfinite(v_in):
             raise DataError(f"waveform returned non-finite value at t={t_k!r}")
 
-        sys = asm.build(asm.conductances(w, branch_v), v_in)
-        voltages, i_src = solve_step(sys, step=k)
-        branch_v = voltages[t.a] - voltages[t.b]
+        for m, sys in enumerate(asm.build(asm.conductances(w, branch_v), v_in)):
+            try:
+                voltages[node_slices[m]], i_src[m] = solve_step(sys, step=k)
+            except Exception as exc:
+                exc.member = m
+                raise
+        branch_v = voltages[asm.a] - voltages[asm.b]
 
         if k % decimation == 0:
             times[rec] = t_k
             v_in_rec[rec] = v_in
-            i_src_rec[rec] = i_src
-            iface_v[rec] = voltages[iface]
+            i_src_rec[:, rec] = i_src
+            iface_v[:, rec] = voltages[iface]
             rec += 1
 
         w_prime = dev.advance_state_batch(w_prime, branch_v, dt, asm.lam,
                                           asm.eta, asm.tau, decay_mode=decay_mode)
         new_w = dev.hysteresis_batch(w_prime, w, asm.th_low, asm.th_high)
-        switching += int(np.count_nonzero(new_w != w))
+        flips += new_w != w
         w = new_w
 
-    return SimulationTrace(times=times, dt=dt * decimation,
-                           interface_voltages=iface_v,
-                           source_current=i_src_rec,
-                           applied_voltage=v_in_rec,
-                           switching_events=switching)
+    traces = TraceBatch(
+        SimulationTrace(times=times, dt=dt * decimation,
+                        interface_voltages=iface_v[m],
+                        source_current=i_src_rec[m],
+                        applied_voltage=v_in_rec,
+                        switching_events=int(flips[edges].sum()))
+        for m, edges in enumerate(asm.edge_slices))
+    return traces[0] if single else traces

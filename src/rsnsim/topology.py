@@ -91,7 +91,8 @@ class Grid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Grid":
-        return build_grid(int(d["interface_dim"]), int(d["subdivision"]))
+        return build_grid(_integral(d["interface_dim"], "interface_dim", DataError),
+                          _integral(d["subdivision"], "subdivision", DataError))
 
 
 def build_grid(interface_dim: int, s: int) -> Grid:
@@ -169,23 +170,29 @@ class NetworkTopology:
     def from_dict(cls, d: dict) -> "NetworkTopology":
         """Load and check a topology document.
 
-        Node indices outside the grid raise DataError; bad device
-        parameters or states raise ParameterError.
+        Node indices outside the grid, and node indices, grid sizes,
+        ``seed`` or ``n_augmented`` that are booleans or not integral,
+        raise DataError; bad device parameters or states (a non-integral
+        ``w`` too) raise ParameterError.
         """
         grid = Grid.from_dict(d["grid"])
         edges = d["edges"]
         # from_dict checks each device; DeviceParams' fields are in _PARAM_KEYS order
         rows = [list(vars(DeviceParams.from_dict(e["params"])).values()) for e in edges]
         t = cls(grid=grid,
-                a=np.array([int(e["a"]) for e in edges], dtype=int),
-                b=np.array([int(e["b"]) for e in edges], dtype=int),
+                a=np.array([_integral(e["a"], "a", DataError) for e in edges],
+                           dtype=int),
+                b=np.array([_integral(e["b"], "b", DataError) for e in edges],
+                           dtype=int),
                 params=np.array(rows).reshape(-1, len(_PARAM_KEYS)),
                 w_prime=np.array([float(e["state"]["w_prime"]) for e in edges]),
-                w=np.array([int(e["state"]["w"]) for e in edges], dtype=int),
-                input_node=int(d["input_node"]),
-                ground_node=int(d["ground_node"]),
-                seed=int(d["seed"]),
-                n_augmented=int(d.get("n_augmented", 0)))
+                w=np.array([_integral(e["state"]["w"], "w", ParameterError)
+                            for e in edges], dtype=int),
+                input_node=_integral(d["input_node"], "input_node", DataError),
+                ground_node=_integral(d["ground_node"], "ground_node", DataError),
+                seed=_integral(d["seed"], "seed", DataError),
+                n_augmented=_integral(d.get("n_augmented", 0), "n_augmented",
+                                      DataError))
         n = grid.n_nodes
         nodes = np.concatenate([t.a, t.b, [t.input_node, t.ground_node]])
         if np.any((nodes < 0) | (nodes >= n)):
@@ -199,6 +206,14 @@ class NetworkTopology:
     @classmethod
     def from_json(cls, text: str) -> "NetworkTopology":
         return cls.from_dict(json.loads(text))
+
+
+def _integral(x, key: str, error: type) -> int:
+    """``x`` as an int; a boolean or non-integral value raises ``error``."""
+    if isinstance(x, bool) or not (isinstance(x, int)
+                                   or isinstance(x, float) and x.is_integer()):
+        raise error(f"'{key}' must be an integer, got {x!r}")
+    return int(x)
 
 
 def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

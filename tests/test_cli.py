@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rsnsim.cli import main
+from rsnsim.device import default_ranges
 from rsnsim.solver import SimulationTrace
 
 
@@ -87,7 +88,9 @@ class TestGenerate:
         # values that a cast would coerce are rejected too
         for key, value in (("xi", 2.7), ("xi", True), ("seed", "7"),
                            ("subdivision", 1.5), ("edge_count", 99.5),
-                           ("input_node", False)):
+                           ("input_node", False), ("alpha", True),
+                           ("beta", "5"), ("alpha", float("nan")),
+                           ("beta", float("inf"))):
             caplog.clear()
             cfg = write_json(tmp_path / "gen.json", dict(GEN_DOC, **{key: value}))
             assert main(["generate", "--config", cfg,
@@ -129,6 +132,17 @@ class TestSimulate:
         assert (tmp_path / "a/trace.csv").read_bytes() == \
                (tmp_path / "b/trace.csv").read_bytes()
 
+    def test_bad_value_exits_1(self, tmp_path, topo_file, caplog):
+        for key, value in (("amplitude", True), ("amplitude", "8"),
+                           ("amplitude", float("nan")), ("dt", False),
+                           ("frequency", float("inf")), ("amplitude", 10 ** 400)):
+            caplog.clear()
+            cfg = write_json(tmp_path / "sim.json", {key: value})
+            assert main(["simulate", "--topology", topo_file, "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1, (key, value)
+            assert key in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_missing_topology_exits_2(self, tmp_path):
         assert main(["simulate", "--topology", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
@@ -146,7 +160,14 @@ class TestSimulate:
                      lambda d: d["edges"][3]["params"].update(tau=0.0),
                      lambda d: d["edges"][3]["params"].pop("eta"),
                      lambda d: d["edges"][3]["state"].update(w_prime=1.5),
-                     lambda d: d["edges"][3]["state"].update(w=2)):
+                     lambda d: d["edges"][3]["state"].update(w=2),
+                     lambda d: d["edges"][3].update(a=0.7),
+                     lambda d: d["edges"][3].update(a=True),
+                     lambda d: d.update(input_node=0.5),
+                     lambda d: d["edges"][3]["state"].update(w=1.9),
+                     lambda d: d.update(seed=1.9),
+                     lambda d: d.update(n_augmented=True),
+                     lambda d: d["grid"].update(subdivision=1.7)):
             doc = json.loads(open(topo_file).read())
             edit(doc)
             write_json(bad, doc)
@@ -235,7 +256,12 @@ class TestSweep:
         # values that a cast would coerce are rejected before any run
         for key, value in (("center", "false"), ("center", 0), ("xis", [2.7]),
                            ("xis", [True]), ("trials", 1.9), ("base_seed", "5"),
-                           ("interface_dim", 4.5)):
+                           ("interface_dim", 4.5), ("alphas", [True]),
+                           ("amplitudes", ["8"]), ("betas", [float("nan")]),
+                           ("amplitudes", [True]), ("dt", float("nan")),
+                           ("duration", True), ("frequency", "5"),
+                           ("ranges", dict(default_ranges().to_dict(),
+                                           g_floor=True))):
             caplog.clear()
             cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, **{key: value}))
             assert main(["sweep", "--config", cfg,

@@ -125,6 +125,39 @@ class TestInternalState:
         p = params()
         assert threshold(advance(0.9, 1.0, 0.01, p), 1, p) == 1
 
+    def test_clamp_matches_nan_to_num_clip(self):
+        # reference: the kernel with a nan_to_num + clip clamp; the
+        # kernel's fmin/fmax clamp must give the same bits on every input
+        def reference(w_prime, V, dt, lam, eta, tau, decay_mode):
+            absV = np.abs(V)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = lam * np.sinh(np.minimum(eta * absV, 700.0))
+                if decay_mode == "state_dependent":
+                    decay = (w_prime / tau) * (1.0 - w_prime)
+                else:
+                    decay = w_prime / tau
+                out = w_prime + dt * (grow - decay)
+            return np.clip(np.nan_to_num(out, nan=1.0, posinf=1.0, neginf=0.0),
+                           0.0, 1.0)
+
+        rng = np.random.default_rng(3)
+        n = 4000
+        special = [0.0, -0.0, 1.0, 0.5, np.nan, np.inf, -np.inf, 1e308, -1e308]
+        w_prime = np.concatenate([rng.uniform(-0.5, 1.5, n), special * 40])
+        size = w_prime.size
+        V = rng.choice([0.0, -0.0, 1e-9, 0.3, -2.0, 8.0, 300.0, 1e6], size)
+        lam = rng.choice([0.0, 1.0, 1e300], size)
+        eta = rng.uniform(0.5, 6.0, size)
+        tau = rng.choice([1e-300, 0.2, 5.0], size)
+        for dt in (1e-3, 1.0, 1e300):
+            for mode in ("state_dependent", "plain"):
+                with np.errstate(invalid="ignore"):
+                    got = advance_state_batch(w_prime, V, dt, lam, eta, tau,
+                                              decay_mode=mode)
+                want = reference(w_prime, V, dt, lam, eta, tau, mode)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ParameterError):
             advance(0.0, 0.0, 0.0, params())

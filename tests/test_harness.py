@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rsnsim import harness
+from rsnsim import harness, solver
 from rsnsim.analysis import differential_readout, energy, entropy
 from rsnsim.device import default_ranges
-from rsnsim.errors import ConfigError
+from rsnsim.errors import ConfigError, GenerationError, NumericalError, RsnError
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
                             derive_seed, member_seed, run_hierarchy,
                             run_single, run_sweep)
-from rsnsim.solver import simulate, sine_waveform
+from rsnsim.solver import TraceBatch, assemble, simulate, sine_waveform
 
 
 def small_config(**over):
@@ -91,8 +91,9 @@ class TestRunHierarchy:
         assert rec.energy_joules == total
 
     def test_member_failure_names_seed(self, monkeypatch):
+        # the members step in lockstep, so the third solve is member 2's
         cfg = small_config()
-        real = harness.simulate
+        real = solver.solve_step
         calls = {"n": 0}
 
         def flaky(*a, **kw):
@@ -101,16 +102,99 @@ class TestRunHierarchy:
                 raise RuntimeError("member blew up")
             return real(*a, **kw)
 
-        monkeypatch.setattr(harness, "simulate", flaky)
+        monkeypatch.setattr(solver, "solve_step", flaky)
         with pytest.raises(Exception) as exc:
             run_hierarchy(cfg, HierarchyConfig(k=4), 1.0, 2.0, 2, 2.0, seed=30)
         assert f"seed {member_seed(30, 2)}" in str(exc.value)
+        assert "member 2 " in str(exc.value) and "member blew up" in str(exc.value)
+
+    def test_lowest_failing_member_is_named(self, monkeypatch):
+        # Member 3 fails first in time; member 1 fails only later, so it
+        # shows up once the members before 3 are stepped again.
+        real = harness.simulate
+        batches = []
+
+        def fake(topos, *a, **kw):
+            batches.append(len(topos))
+            for m in (3, 1):
+                if len(topos) > m:
+                    exc = NumericalError(f"member {m} failed")
+                    exc.member = m
+                    raise exc
+            return real(topos, *a, **kw)
+
+        monkeypatch.setattr(harness, "simulate", fake)
+        with pytest.raises(RsnError) as exc:
+            run_hierarchy(small_config(), HierarchyConfig(k=5), 1.0, 2.0, 2,
+                          2.0, seed=31)
+        assert str(exc.value) == (f"hierarchy member 1 (seed {member_seed(31, 1)}) "
+                                  f"failed: member 1 failed")
+        assert batches == [5, 3, 1]
+
+    def test_generation_failure_after_good_members(self, monkeypatch):
+        real = harness._make_topology
+        bad_seed = member_seed(32, 2)
+
+        def make(cfg, alpha, beta, xi, seed):
+            if seed == bad_seed:
+                raise GenerationError("no network")
+            return real(cfg, alpha, beta, xi, seed)
+
+        monkeypatch.setattr(harness, "_make_topology", make)
+        with pytest.raises(RsnError) as exc:
+            run_hierarchy(small_config(), HierarchyConfig(k=4), 1.0, 2.0, 2,
+                          2.0, seed=32)
+        assert str(exc.value) == (f"hierarchy member 2 (seed {bad_seed}) "
+                                  f"failed: no network")
+
+    def test_failing_cell_record(self):
+        # Trial 1's member 12 fails its residual check at step 52 and
+        # members 0-11 run through, so the record names member 12, the
+        # lowest-index member that fails, with its own error.
+        cfg = SweepConfig(alphas=(1.0,), betas=(1.0,), xis=(8,),
+                          amplitudes=(8.0,), trials=2, base_seed=0,
+                          duration=0.06)
+        good, bad = run_sweep(cfg, hierarchy=HierarchyConfig(k=16))
+        assert good.error == ""
+        assert (good.seed, good.switching_events, good.edge_count) == \
+            (4088532484, 3179, 6272)
+        assert good.entropy_bits == pytest.approx(1.0621837566954513, rel=1e-9)
+        assert good.energy_joules == pytest.approx(639684.4466302865, rel=1e-9)
+        assert bad.seed == 3581274545
+        assert bad.error == ("RsnError: hierarchy member 12 (seed 3732871131) "
+                             "failed: residual 8.373e-09 exceeds bound "
+                             "7.984e-09 (step 52)")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             HierarchyConfig(k=0)
         with pytest.raises(ConfigError):
             HierarchyConfig(readout_a=3, readout_b=3)
+
+
+class TestLockstep:
+    def test_members_bit_identical_to_solo_runs(self):
+        # xi=1 members differ in system size (floating islands) and in
+        # the number of edges added for connectivity
+        cfg = small_config()
+        topos = [harness._make_topology(cfg, 1.0, 2.0, 1, member_seed(40, k))
+                 for k in range(6)]
+        dims = {assemble(t, np.zeros(t.edge_count), 0.0).dimension for t in topos}
+        assert len(dims) > 1 and len({t.n_augmented for t in topos}) > 1
+        kw = dict(dt=1e-3, duration=0.3, decimation=3, decay_mode="plain")
+        wave = sine_waveform(8.0)
+        solo = [simulate(t, wave, **kw) for t in topos]
+        batch = simulate(topos, wave, **kw)
+        reverse = simulate(topos[::-1], wave, **kw)[::-1]
+        assert isinstance(batch, TraceBatch) and len(batch) == len(topos)
+        for s, b, r in zip(solo, batch, reverse):
+            for name in ("times", "interface_voltages", "source_current",
+                         "applied_voltage"):
+                assert np.array_equal(getattr(b, name), getattr(s, name)), name
+                assert np.array_equal(getattr(r, name), getattr(s, name)), name
+            assert b.dt == s.dt == r.dt
+            assert b.switching_events == s.switching_events == r.switching_events
+        assert batch.switching_events == sum(s.switching_events for s in solo) > 0
 
 
 class TestRunSweep:

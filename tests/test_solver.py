@@ -5,8 +5,9 @@ import pytest
 
 from rsnsim.device import default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
-from rsnsim.solver import (SimulationTrace, assemble, dc_waveform, simulate,
-                           sine_waveform, solve_step)
+from rsnsim import solver
+from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, dc_waveform,
+                           simulate, sine_waveform, solve_step)
 from rsnsim.topology import BetaShape, build_grid, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
@@ -188,6 +189,41 @@ class TestSimulate:
         with pytest.raises(DataError):
             simulate(t, lambda s: float("inf"), dt=1e-3, duration=0.01)
 
+    def test_sequence_gives_trace_batch(self):
+        t = linear_topology([(0, 15, 1.0)])
+        batch = simulate([t, t], sine_waveform(1.0), dt=1e-3, duration=0.01)
+        assert isinstance(batch, TraceBatch) and len(batch) == 2
+        assert isinstance(simulate(t, sine_waveform(1.0), dt=1e-3,
+                                   duration=0.01), SimulationTrace)
+        with pytest.raises(ParameterError):
+            simulate([], sine_waveform(1.0), dt=1e-3, duration=0.01)
+
+    def test_member_errors_carry_index(self, monkeypatch):
+        good = linear_topology([(0, 15, 1.0)])
+        with pytest.raises(ParameterError) as exc:
+            simulate([good, linear_topology([(1, 2, 1.0)])], dc_waveform(1.0),
+                     dt=1e-3, duration=0.01)
+        assert exc.value.member == 1
+        with pytest.raises(ParameterError) as exc:
+            simulate([good, good, linear_topology([(0, 3, 1.0)], ground_node=3,
+                                                  interface_dim=3)],
+                     dc_waveform(1.0), dt=1e-3, duration=0.01)
+        assert exc.value.member == 2 and "one grid" in str(exc.value)
+
+        real = solver.solve_step
+        calls = {"n": 0}
+
+        def flaky(sys, step=None):
+            calls["n"] += 1
+            if calls["n"] == 3 * 4 + 2:  # step 4, member 1
+                raise NumericalError("boom", step=step)
+            return real(sys, step=step)
+
+        monkeypatch.setattr(solver, "solve_step", flaky)
+        with pytest.raises(NumericalError) as exc:
+            simulate([good] * 3, dc_waveform(1.0), dt=1e-3, duration=0.01)
+        assert (exc.value.member, exc.value.step) == (1, 4)
+
     def test_numerical_error_carries_step_index(self):
         err = NumericalError("boom", step=17)
         assert "step 17" in str(err)
@@ -207,3 +243,40 @@ class TestTraceCsv:
         assert back.n_interface == 16
         assert np.abs(back.applied_voltage - trace.applied_voltage).max() < 1e-8
         assert np.abs(back.interface_voltages - trace.interface_voltages).max() < 1e-8
+
+
+def loop_csv(trace):
+    """Reference trace writer: one f-string per value."""
+    cols = [f"node_{i + 1}" for i in range(trace.n_interface)]
+    lines = [",".join(["t", "v_in", "i_src"] + cols)]
+    for k in range(trace.n_steps):
+        row = [trace.times[k], trace.applied_voltage[k], trace.source_current[k]]
+        row.extend(trace.interface_voltages[k])
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceCsvBytes:
+    def test_simulated_traces(self, rng):
+        g = build_grid(4, 1)
+        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
+                             int(g.interface_indices[-1]), default_ranges(),
+                             rng, seed=8)
+        for decimation in (1, 7):
+            trace = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.2,
+                             decimation=decimation)
+            assert trace.to_csv() == loop_csv(trace)
+
+    def test_edge_values(self):
+        values = np.array([-0.0, 0.0, 1e-300, -1e300, 1e300, 5e-324,
+                           0.1234567890123, -98765.43210987654, 1.0 / 3.0,
+                           123456789012.0, 2.0 ** 0.5, np.pi * 1e-7])
+        n = values.size
+        trace = SimulationTrace(
+            times=values, dt=1e-3,
+            interface_voltages=np.column_stack([values[::-1], values * 3.0]),
+            source_current=-values, applied_voltage=np.roll(values, 1),
+            switching_events=0)
+        text = trace.to_csv()
+        assert text == loop_csv(trace)
+        assert len(text.splitlines()) == n + 1
