@@ -54,6 +54,12 @@ class SweepConfig:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.decay_mode not in DECAY_MODES:
             raise ConfigError(f"decay_mode must be one of {DECAY_MODES}")
+        for name in ("alphas", "betas", "amplitudes"):
+            if not all(math.isfinite(x) for x in getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("dt", "duration", "frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.duration < self.dt:
             raise ConfigError("need dt > 0 and duration >= dt")
 

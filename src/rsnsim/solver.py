@@ -100,15 +100,17 @@ def _stamps(t: NetworkTopology):
 
 
 class _Assembler:
-    """Scatter indices and parameter rows for topologies stepped in lockstep.
+    """Scatter indices, parameter rows and one matrix buffer for topologies
+    stepped in lockstep.
 
     The members' edges, parameter rows and stamps are concatenated, so one
     call of each device kernel and one ``np.bincount`` per step serve every
-    member.  Member m's stamps are offset by the earlier members' dim**2,
-    so its matrix is a reshaped view of its own segment of that bincount,
-    and every entry receives the same terms in the same order as when the
-    member is assembled alone.  An error in member m's set-up carries
-    ``member = m``.
+    member.  Every member's matrix and rhs live in one flat buffer, member
+    m's matrix at an offset of the earlier members' dim**2, allocated once
+    with the source row and column set.  Each step the bincount sums every
+    stamped entry's terms in stamp order, the order of a member assembled
+    alone, and writes only those entries.  An error in member m's set-up
+    carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -116,7 +118,7 @@ class _Assembler:
         n = topologies[0].grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
         # per member: matrix slice and shape, rhs slice, node rows, source row
-        self._members = []
+        members = []
         flat, sign, edge, ones, src, a, b = [], [], [], [], [], [], []
         size = rhs_size = n_edges = 0
         for m, t in enumerate(topologies):
@@ -128,8 +130,8 @@ class _Assembler:
                 exc.member = m
                 raise
             r_in, r_src = rows[t.input_node], dim - 1
-            self._members.append((slice(size, size + dim * dim), (dim, dim),
-                                  slice(rhs_size, rhs_size + dim), rows, r_src))
+            members.append((slice(size, size + dim * dim), (dim, dim),
+                            slice(rhs_size, rhs_size + dim), rows, r_src))
             flat.append(f + size)
             sign.append(s)
             self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
@@ -142,13 +144,20 @@ class _Assembler:
             size += dim * dim
             rhs_size += dim
             n_edges += t.edge_count
-        self._flat = np.concatenate(flat)
+        flat = np.concatenate(flat)
+        # the stamped entries, and each stamp's bin among them
+        self._stamped = np.flatnonzero(np.bincount(flat, minlength=size))
+        self._bins = np.searchsorted(self._stamped, flat)
         self._sign = np.concatenate(sign)
         self._edge = np.concatenate(edge)
-        self._ones = np.array(ones)
         self._src = np.array(src)
-        self._size = size
-        self._rhs_size = rhs_size
+        self._matrices = np.zeros(size)
+        self._matrices[ones] = 1.0  # source column and row
+        self._rhs = np.zeros(rhs_size)
+        self._systems = [LinearSystem(matrix=self._matrices[ms].reshape(shape),
+                                      rhs=self._rhs[rs], node_rows=rows,
+                                      source_row=r_src)
+                         for ms, shape, rs, rows, r_src in members]
         self.a = np.concatenate(a)
         self.b = np.concatenate(b)
 
@@ -164,15 +173,17 @@ class _Assembler:
         return g + self.g_floor  # parallel floor path per edge
 
     def build(self, g: np.ndarray, v_in: float) -> List[LinearSystem]:
-        """Every member's system for one step, in member order."""
-        flat = np.bincount(self._flat, weights=self._sign * g[self._edge],
-                           minlength=self._size)
-        flat[self._ones] = 1.0  # source column and row
-        rhs = np.zeros(self._rhs_size)
-        rhs[self._src] = v_in
-        return [LinearSystem(matrix=flat[ms].reshape(shape), rhs=rhs[rs],
-                             node_rows=rows, source_row=r_src)
-                for ms, shape, rs, rows, r_src in self._members]
+        """Every member's system for one step, in member order.
+
+        Every call returns the same LinearSystem objects, whose arrays are
+        views of this assembler's buffers, refilled in place: a system is
+        valid until the next call.
+        """
+        self._matrices[self._stamped] = np.bincount(
+            self._bins, weights=self._sign * g[self._edge],
+            minlength=self._stamped.size)
+        self._rhs[self._src] = v_in
+        return self._systems
 
 
 def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> LinearSystem:
@@ -308,10 +319,10 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     members = [topologies] if single else list(topologies)
     if not members:
         raise ParameterError("no topology to simulate")
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt!r}")
-    if duration < dt:
-        raise ParameterError(f"duration must be >= dt, got {duration!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(duration) and duration >= dt):
+        raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
     if decimation < 1:
         raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
     n_steps = int(round(duration / dt))

@@ -19,11 +19,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import _PARAM_KEYS, DeviceParams, ParamRanges, sample_device_params
 from .errors import DataError, GenerationError, ParameterError
 
 log = logging.getLogger(__name__)
+
+# src x dst pairs per block of the bridging search: bounds its temporaries
+_BRIDGE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,28 @@ def build_grid(interface_dim: int, s: int) -> Grid:
                 positions=positions, interface_flags=flags)
 
 
+def _distance_rows(side: int) -> np.ndarray:
+    """Every node's row of normalized lattice distances, as windows of one
+    table by offset.
+
+    The table holds ``sqrt(dx**2 + dy**2)`` over its maximum, the lattice
+    diagonal, for every offset: (2*side - 1)**2 entries.  The result is a
+    (side, side, side, side) view of it: ``view[y, x]`` holds, at
+    ``[y', x']``, the distance from node (x, y) to node (x', y'), so
+    ravelled it is node (x, y)'s row over all nodes in index order.
+    """
+    r = np.arange(1 - side, side) ** 2
+    d = np.sqrt(r[:, None] + r[None, :])
+    return sliding_window_view(d / d.max(), (side, side))[::-1, ::-1]
+
+
 def distance_map(grid: Grid) -> np.ndarray:
-    """Pairwise Euclidean distances normalized by the lattice diagonal."""
-    pos = grid.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    return d / d.max()
+    """Pairwise Euclidean distances normalized by the lattice diagonal.
+
+    The map is n x n, so it is for analysis; generation reads the rows it
+    needs from the (2*side - 1)**2 offset table it is built from.
+    """
+    return _distance_rows(grid.side).reshape(grid.n_nodes, -1)
 
 
 @dataclass(eq=False)
@@ -274,7 +294,7 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
         from .device import default_ranges
         ranges = default_ranges()
 
-    pos = t.grid.positions
+    side = t.grid.side
     a, b, params = t.a, t.b, t.params
     while True:
         labels = _components(t.grid.n_nodes, a, b)
@@ -283,9 +303,20 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
         inside = labels == labels[t.input_node]
         src = np.flatnonzero(inside)
         dst = np.flatnonzero(~inside)
-        d = np.sqrt(((pos[src][:, None, :] - pos[dst][None, :, :]) ** 2).sum(axis=2))
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        chain = np.array(_lattice_chain(t.grid, int(src[i]), int(dst[j])))
+        sy, sx = np.divmod(src, side)
+        dy, dx = np.divmod(dst, side)
+        # First closest pair in (src, dst) order, over blocks of src rows;
+        # squared integer lengths order pairs exactly as distances do.
+        rows = max(1, _BRIDGE_BLOCK // dst.size)
+        best = np.inf
+        for lo in range(0, src.size, rows):
+            d = (sy[lo:lo + rows, None] - dy) ** 2 + (sx[lo:lo + rows, None] - dx) ** 2
+            k = int(np.argmin(d))
+            if d.flat[k] < best:
+                best = d.flat[k]
+                i, j = divmod(k, dst.size)
+                pair = int(src[lo + i]), int(dst[j])
+        chain = np.array(_lattice_chain(t.grid, *pair))
         a = np.concatenate([a, chain[:, 0]])
         b = np.concatenate([b, chain[:, 1]])
         params = np.vstack([params] + [sample_device_params(ranges, rng)
@@ -325,7 +356,8 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     if n_edges < 1:
         raise GenerationError(f"requested edge count {n_edges} < 1")
 
-    dmap = distance_map(grid)
+    side = grid.side
+    rows = _distance_rows(side)
     n = grid.n_nodes
     a = np.empty(n_edges, dtype=int)
     b = np.empty(n_edges, dtype=int)
@@ -333,7 +365,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     for e in range(n_edges):
         start = int(rng.integers(n))
         target = float(beta_sample(shape, rng))
-        diffs = np.abs(dmap[start] - target)
+        diffs = np.abs(rows[divmod(start, side)] - target).ravel()
         diffs[start] = np.inf
         ties = np.flatnonzero(diffs == diffs.min())
         a[e] = start

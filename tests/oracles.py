@@ -3,10 +3,15 @@
 These deliberately avoid the package's assembly and solve paths: the
 nodal equations are built with plain Python loops, the input voltage is
 substituted directly (no auxiliary current unknown), and the system is
-solved by hand-rolled Gaussian elimination.
+solved by hand-rolled Gaussian elimination.  Generation is checked against
+the straightforward search over the full n x n distance map.
 """
 
 import numpy as np
+
+from rsnsim.device import sample_device_params
+from rsnsim.topology import (NetworkTopology, _components, _lattice_chain,
+                             beta_sample)
 
 
 def gaussian_elimination(A, b):
@@ -63,3 +68,52 @@ def solve_resistive_network(n_nodes, edges, input_node, ground_node, v_in):
         if c == input_node:
             i_src += g * (v_in - voltages[a])
     return voltages, i_src
+
+
+def distance_map(grid):
+    """Pairwise lattice distances over the diagonal, from the n x n differences."""
+    pos = grid.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    d = np.sqrt((diff ** 2).sum(axis=2))
+    return d / d.max()
+
+
+def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
+                     seed=0):
+    """Reference generation: each endpoint from row ``start`` of the full
+    distance map, and each bridge from the argmin over all |src| x |dst|
+    distances; the draws are the package's, in the same order."""
+    dmap = distance_map(grid)
+    n = grid.n_nodes
+    a, b, params = [], [], []
+    for _ in range(n * xi):
+        start = int(rng.integers(n))
+        target = float(beta_sample(shape, rng))
+        diffs = np.abs(dmap[start] - target)
+        diffs[start] = np.inf
+        ties = np.flatnonzero(diffs == diffs.min())
+        a.append(start)
+        b.append(int(ties[rng.integers(ties.size)]))
+        params.append(sample_device_params(ranges, rng))
+    a, b, params = np.array(a), np.array(b), np.array(params)
+    n_generated = a.size
+
+    pos = grid.positions
+    while True:
+        labels = _components(n, a, b)
+        if labels[input_node] == labels[ground_node]:
+            break
+        inside = labels == labels[input_node]
+        src = np.flatnonzero(inside)
+        dst = np.flatnonzero(~inside)
+        d = np.sqrt(((pos[src][:, None, :] - pos[dst][None, :, :]) ** 2).sum(axis=2))
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        chain = np.array(_lattice_chain(grid, int(src[i]), int(dst[j])))
+        a = np.concatenate([a, chain[:, 0]])
+        b = np.concatenate([b, chain[:, 1]])
+        params = np.vstack([params] + [sample_device_params(ranges, rng)
+                                       for _ in chain])
+    return NetworkTopology(grid=grid, a=a, b=b, params=params,
+                           w_prime=np.zeros(a.size), w=np.zeros(a.size, dtype=int),
+                           input_node=input_node, ground_node=ground_node,
+                           seed=seed, n_augmented=a.size - n_generated)

@@ -284,3 +284,9 @@ class TestRunSweep:
             small_config(trials=0)
         with pytest.raises(ConfigError):
             small_config(decay_mode="bogus")
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(dt=nan), dict(duration=inf), dict(duration=nan),
+                    dict(frequency=nan), dict(frequency=inf), dict(alphas=(1.0, nan)),
+                    dict(betas=(inf,)), dict(amplitudes=(nan,))):
+            with pytest.raises(ConfigError):
+                small_config(**bad)

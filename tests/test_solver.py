@@ -186,6 +186,10 @@ class TestSimulate:
             simulate(t, dc_waveform(1.0), dt=0.0, duration=1.0)
         with pytest.raises(ParameterError):
             simulate(t, dc_waveform(1.0), dt=0.1, duration=0.01)
+        with pytest.raises(ParameterError):
+            simulate(t, dc_waveform(1.0), dt=float("nan"), duration=1.0)
+        with pytest.raises(ParameterError):
+            simulate(t, dc_waveform(1.0), dt=1e-3, duration=float("inf"))
         with pytest.raises(DataError):
             simulate(t, lambda s: float("inf"), dt=1e-3, duration=0.01)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from rsnsim.topology import (BetaShape, NetworkTopology, beta_sample,
                              build_grid, distance_map, ensure_connected,
                              generate_network, has_path)
 
+from tests import oracles
 from tests.conftest import linear_topology
+
+LATTICES = ((3, 0), (4, 1), (5, 2), (8, 3))
 
 
 def _iface_corners(grid):
@@ -73,6 +77,11 @@ class TestDistanceMap:
         d = distance_map(g)
         i0, i1 = g.interface_indices[0], g.interface_indices[1]
         assert d[i0, i1] == pytest.approx(2.0 / (6.0 * math.sqrt(2)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim,s", LATTICES)
+    def test_matches_pairwise_formula(self, dim, s):
+        g = build_grid(dim, s)
+        assert np.array_equal(distance_map(g), oracles.distance_map(g))
 
     def test_symmetry_and_triangle_inequality(self, rng):
         d = distance_map(build_grid(3, 1))
@@ -209,6 +218,44 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             # node 1 is a supporting node on the subdivided lattice
             generate_network(g, BetaShape(1, 1), 2, 1, gnd, default_ranges(), rng)
+
+
+class TestGenerationReference:
+    # short wires (alpha 1, beta 10, xi 1) strand the input often enough
+    # that these seeds exercise the bridging search
+    AUGMENTED = {(4, 1): {0, 1, 2, 3, 5}, (8, 3): {0, 1, 3, 5}}
+
+    @pytest.mark.parametrize("dim,s", LATTICES)
+    @pytest.mark.parametrize("alpha,beta,xi,seed",
+                             [(2, 5, 1, 11), (1, 1, 2, 12), (5, 2, 3, 13), (10, 1, 4, 14)]
+                             + [(1, 10, 1, seed) for seed in range(6)])
+    def test_matches_reference_search(self, dim, s, alpha, beta, xi, seed):
+        g = build_grid(dim, s)
+        inp, gnd = _iface_corners(g)
+        args = (g, BetaShape(alpha, beta), xi, inp, gnd, default_ranges())
+        t = generate_network(*args, np.random.default_rng(seed), seed=seed)
+        ref = oracles.generate_network(*args, np.random.default_rng(seed), seed=seed)
+        for name in ("a", "b", "params", "w_prime", "w"):
+            assert np.array_equal(getattr(t, name), getattr(ref, name)), name
+        assert t.n_augmented == ref.n_augmented
+        if (alpha, beta, xi) == (1, 10, 1) and (dim, s) in self.AUGMENTED:
+            assert (ref.n_augmented > 0) == (seed in self.AUGMENTED[dim, s])
+
+    @pytest.mark.parametrize("seed,augmented", [(0, 133), (3, 1)])
+    def test_memory_grows_with_nodes_not_pairs(self, seed, augmented):
+        # an n x n map of the 841-node lattice alone takes 5.7 MB
+        g = build_grid(8, 3)
+        inp, gnd = _iface_corners(g)
+        args = (g, BetaShape(1, 10), 1, inp, gnd, default_ranges(),
+                np.random.default_rng(seed))
+        tracemalloc.start()
+        try:
+            t = generate_network(*args, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.n_augmented == augmented
+        assert peak < 2 * 2 ** 20
 
 
 class TestEnsureConnected:
