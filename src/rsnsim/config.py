@@ -7,15 +7,13 @@ defaults.  Command-line flags override file values.
 from __future__ import annotations
 
 import json
-import math
 from functools import partial
 from typing import Optional
 
 from .device import ParamRanges, default_ranges
-from .errors import ConfigError
+from .errors import ConfigError, _finite, _integral
 from .harness import HierarchyConfig, SweepConfig
 from .solver import DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY
-from .topology import _integral
 
 GENERATE_KEYS = {"interface_dim", "subdivision", "alpha", "beta", "xi",
                  "edge_count", "ranges", "seed", "input_node", "ground_node"}
@@ -48,22 +46,11 @@ def check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
-# An integer value; booleans and non-integral numbers are config errors,
-# by the same rule that checks topology files.
+# Integers and finite numbers, by the rules that check topology files and
+# ranges; booleans, strings, non-integral or non-finite values are config
+# errors.
 _int = partial(_integral, error=ConfigError)
-
-
-def _float(x, key: str) -> float:
-    """A finite float; booleans, strings, NaN, infinity and integers beyond
-    the float range are rejected."""
-    try:
-        ok = (not isinstance(x, bool) and isinstance(x, (int, float))
-              and math.isfinite(x))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"'{key}' must be a finite number, got {x!r}")
-    return float(x)
+_float = partial(_finite, error=ConfigError)
 
 
 def parse_ranges(doc: dict) -> ParamRanges:
@@ -72,9 +59,6 @@ def parse_ranges(doc: dict) -> ParamRanges:
         return default_ranges()
     if not isinstance(raw, dict):
         raise ConfigError("'ranges' must be an object of [lo, hi] pairs")
-    for key, pair in raw.items():
-        for x in pair if isinstance(pair, list) else [pair]:
-            _float(x, f"ranges.{key}")
     try:
         return ParamRanges.from_dict(raw)
     except Exception as exc:
@@ -121,35 +105,13 @@ def parse_simulate(doc: dict) -> dict:
     return out
 
 
-def _sweep_kwargs(doc: dict) -> dict:
-    kw = {}
-    for key in ("alphas", "betas", "amplitudes"):
-        if key in doc:
-            kw[key] = tuple(_float(x, key) for x in doc[key])
-    if "xis" in doc:
-        kw["xis"] = tuple(_int(x, "xis") for x in doc["xis"])
-    for key in ("trials", "base_seed", "interface_dim", "subdivision"):
-        if key in doc:
-            kw[key] = _int(doc[key], key)
-    for key in ("dt", "duration", "frequency"):
-        if key in doc:
-            kw[key] = _float(doc[key], key)
-    if "decay_mode" in doc:
-        kw["decay_mode"] = str(doc["decay_mode"])
-    if "center" in doc:
-        if not isinstance(doc["center"], bool):
-            raise ConfigError(f"'center' must be true or false, got {doc['center']!r}")
-        kw["center"] = doc["center"]
-    if doc.get("edge_count") is not None:
-        kw["edge_count"] = _int(doc["edge_count"], "edge_count")
-    kw["ranges"] = parse_ranges(doc)
-    return kw
-
-
 def parse_sweep(doc: dict) -> SweepConfig:
+    """A SweepConfig from a sweep document; SweepConfig applies the value
+    rules."""
     check_keys(doc, SWEEP_KEYS, "sweep config")
+    kw = {k: v for k, v in doc.items() if k != "ranges"}
     try:
-        return SweepConfig(**_sweep_kwargs(doc))
+        return SweepConfig(**kw, ranges=parse_ranges(doc))
     except ConfigError:
         raise
     except Exception as exc:
@@ -160,15 +122,8 @@ def parse_hierarchy(doc: dict) -> tuple:
     check_keys(doc, HIERARCHY_KEYS, "hierarchy config")
     sweep_doc = {k: v for k, v in doc.items() if k in SWEEP_KEYS}
     cfg = parse_sweep(sweep_doc)
-    hier = HierarchyConfig(k=_int(doc.get("k", 16), "k"),
-                           readout_a=_int(doc.get("readout_a", 2), "readout_a"),
-                           readout_b=_int(doc.get("readout_b", 9), "readout_b"))
-    n_iface = cfg.interface_dim ** 2
-    for label in (hier.readout_a, hier.readout_b):
-        if label > n_iface:
-            raise ConfigError(f"readout label {label} exceeds the {n_iface} "
-                              f"interface nodes")
-    return cfg, hier
+    return cfg, HierarchyConfig(**{k: v for k, v in doc.items()
+                                    if k not in SWEEP_KEYS})
 
 
 def sweep_config_to_dict(cfg: SweepConfig) -> dict:

@@ -14,13 +14,12 @@ orientation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _finite
 
 # Below this bias magnitude the analytic V->0 limits are returned exactly.
 V_LIMIT_SWITCH = 1e-8
@@ -31,161 +30,125 @@ _SINH_ARG_CAP = 700.0
 
 DECAY_MODES = ("state_dependent", "plain")
 
-# One order for the parameters: the draw order for sampling, the
-# serialization key order, the field order of DeviceParams and the column
-# order of a topology's (E, 10) parameter matrix.  "lambda" is the external
-# name of the field stored as ``lam``.
-_PARAM_KEYS = ("epsilon", "theta", "gamma", "delta", "lambda", "eta", "tau",
-               "th_low", "th_high", "g_floor")
-
-
-def _attr(key: str) -> str:
-    return "lam" if key == "lambda" else key
-
-
-@dataclass(frozen=True)
-class DeviceParams:
-    """Static parameters of one switch.
-
-    epsilon, theta: OFF-branch conductance scale (S*V) and exponent (1/V).
-    gamma, delta:   ON-branch scale (S*V) and sinh argument (1/V).
-    lam, eta:       internal-state growth rate (1/s) and sinh argument (1/V).
-    tau:            decay time constant (s).
-    th_low/th_high: hysteresis thresholds on w_prime, 0 < low < high < 1.
-    g_floor:        minimum conductance (S); keeps the nodal matrix nonsingular.
-    """
-
-    epsilon: float
-    theta: float
-    gamma: float
-    delta: float
-    lam: float
-    eta: float
-    tau: float
-    th_low: float
-    th_high: float
-    g_floor: float
-
-    def __post_init__(self):
-        for name in ("epsilon", "theta", "gamma", "delta", "eta", "tau", "g_floor"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ParameterError(f"{name} must be finite and > 0, got {v!r}")
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam!r}")
-        if not (0.0 < self.th_low < self.th_high < 1.0):
-            raise ParameterError(
-                f"thresholds must satisfy 0 < th_low < th_high < 1, "
-                f"got ({self.th_low!r}, {self.th_high!r})")
-
-    def to_dict(self) -> dict:
-        return {k: float(getattr(self, _attr(k))) for k in _PARAM_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceParams":
-        missing = [k for k in _PARAM_KEYS if k not in d]
-        if missing:
-            raise ParameterError(f"missing device parameter(s): {missing}")
-        extra = [k for k in d if k not in _PARAM_KEYS]
-        if extra:
-            raise ParameterError(f"unknown device parameter(s): {extra}")
-        return cls(**{_attr(k): float(d[k]) for k in _PARAM_KEYS})
-
-
 # Default parameter set: produces switching within a few periods of a
 # 5 Hz, 1-8 V sine drive on the default lattices.  All overridable.
-DEFAULT_PARAMS = DeviceParams(
-    epsilon=1e-4,
-    theta=4.0,
-    gamma=4e-4,
-    delta=2.0,
-    lam=1.0,
-    eta=4.0,
-    tau=0.2,
-    th_low=0.4,
-    th_high=0.6,
-    g_floor=1e-9,
-)
+DEFAULT_PARAMS = MappingProxyType({
+    "epsilon": 1e-4,  # OFF-branch conductance scale (S*V)
+    "theta": 4.0,     # OFF-branch exponent (1/V)
+    "gamma": 4e-4,    # ON-branch scale (S*V)
+    "delta": 2.0,     # ON-branch sinh argument (1/V)
+    "lambda": 1.0,    # internal-state growth rate (1/s)
+    "eta": 4.0,       # internal-state sinh argument (1/V)
+    "tau": 0.2,       # decay time constant (s)
+    "th_low": 0.4,    # hysteresis thresholds on w_prime,
+    "th_high": 0.6,   #   0 < th_low < th_high < 1
+    "g_floor": 1e-9,  # minimum conductance (S); keeps the nodal matrix nonsingular
+})
+
+# One order for the parameters, and the package's one parameter format: a
+# row of ten values in this order.  It is the draw order for sampling, the
+# serialization key order and the column order of a topology's (E, 10)
+# parameter matrix.
+_PARAM_KEYS = tuple(DEFAULT_PARAMS)
 
 
-@dataclass(frozen=True)
+def check_params(rows) -> None:
+    """Raise ParameterError unless every row of ``rows`` (one row or an
+    (N, 10) matrix, columns in _PARAM_KEYS order) is a valid device: every
+    entry finite, lambda >= 0, th_low and th_high with
+    0 < th_low < th_high < 1, and every other parameter > 0."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != (len(_PARAM_KEYS),):
+        raise ParameterError(f"expected rows of {len(_PARAM_KEYS)} parameters, "
+                             f"got shape {rows.shape}")
+    p = dict(zip(_PARAM_KEYS, rows.reshape(-1, len(_PARAM_KEYS)).T))
+    for key, col in p.items():
+        if key in ("th_low", "th_high"):
+            continue
+        ok = np.isfinite(col) & ((col >= 0.0) if key == "lambda" else (col > 0.0))
+        if not ok.all():
+            rule = ">= 0" if key == "lambda" else "> 0"
+            raise ParameterError(f"{key} must be finite and {rule}, "
+                                 f"got {float(col[~ok][0])!r}")
+    low, high = p["th_low"], p["th_high"]
+    ok = (0.0 < low) & (low < high) & (high < 1.0)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        raise ParameterError(f"thresholds must satisfy 0 < th_low < th_high < 1, "
+                             f"got ({float(low[i])!r}, {float(high[i])!r})")
+
+
+def _ordered(d: dict, what: str) -> list:
+    """The values of a {parameter: value} document in _PARAM_KEYS order; a
+    missing or unknown key raises ParameterError."""
+    if d.keys() != DEFAULT_PARAMS.keys():
+        missing = [k for k in _PARAM_KEYS if k not in d]
+        unknown = [k for k in d if k not in DEFAULT_PARAMS]
+        raise ParameterError(f"{what}s: missing {missing}, unknown {unknown}")
+    return [d[k] for k in _PARAM_KEYS]
+
+
+@dataclass(frozen=True, eq=False)
 class ParamRanges:
-    """Closed sampling interval [lo, hi] per device parameter."""
+    """Closed sampling interval [lo, hi] per device parameter.
 
-    epsilon: Tuple[float, float]
-    theta: Tuple[float, float]
-    gamma: Tuple[float, float]
-    delta: Tuple[float, float]
-    lam: Tuple[float, float]
-    eta: Tuple[float, float]
-    tau: Tuple[float, float]
-    th_low: Tuple[float, float]
-    th_high: Tuple[float, float]
-    g_floor: Tuple[float, float]
+    ``bounds`` is a read-only (2, 10) array: lower then upper bounds,
+    columns in _PARAM_KEYS order.  Both bound rows must be valid devices,
+    ``lo <= hi`` in every column, and the th_low range must lie strictly
+    below the th_high range, so every draw is a valid device.
+    """
+
+    bounds: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            lo, hi = getattr(self, f.name)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ParameterError(f"bad range for {f.name}: ({lo!r}, {hi!r})")
-        # Endpoints must themselves form valid parameter sets.
-        for pick in (0, 1):
-            DeviceParams(**{f.name: getattr(self, f.name)[pick] for f in fields(self)})
-        # Independent draws must never invert the threshold pair.
-        if self.th_low[1] >= self.th_high[0]:
+        b = np.array(self.bounds, dtype=float)
+        if b.shape != (2, len(_PARAM_KEYS)):
+            raise ParameterError(f"bounds must have shape (2, {len(_PARAM_KEYS)}), "
+                                 f"got {b.shape}")
+        check_params(b)
+        for key, (lo, hi) in zip(_PARAM_KEYS, b.T.tolist()):
+            if lo > hi:
+                raise ParameterError(f"bad range for {key}: ({lo!r}, {hi!r})")
+        lows = b[:, _PARAM_KEYS.index("th_low")]
+        highs = b[:, _PARAM_KEYS.index("th_high")]
+        if lows[1] >= highs[0]:
             raise ParameterError(
                 "th_low range must lie strictly below th_high range "
-                f"(got {self.th_low} vs {self.th_high})")
+                f"(got {tuple(lows.tolist())} vs {tuple(highs.tolist())})")
+        b.flags.writeable = False
+        object.__setattr__(self, "bounds", b)
 
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """(2, 10) array: lower then upper bounds, columns in _PARAM_KEYS order."""
-        return np.array([getattr(self, _attr(k)) for k in _PARAM_KEYS]).T
+    def __eq__(self, other):
+        if not isinstance(other, ParamRanges):
+            return NotImplemented
+        return bool(np.array_equal(self.bounds, other.bounds))
+
+    def __hash__(self):
+        return hash(tuple(self.bounds.ravel().tolist()))
 
     def to_dict(self) -> dict:
-        return {k: [float(v) for v in getattr(self, _attr(k))] for k in _PARAM_KEYS}
+        return {k: [lo, hi] for k, lo, hi in zip(_PARAM_KEYS, *self.bounds.tolist())}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamRanges":
-        missing = [k for k in _PARAM_KEYS if k not in d]
-        if missing:
-            raise ParameterError(f"missing range(s): {missing}")
-        extra = [k for k in d if k not in _PARAM_KEYS]
-        if extra:
-            raise ParameterError(f"unknown range key(s): {extra}")
-        kw = {}
-        for k in _PARAM_KEYS:
-            pair = d[k]
+        pairs = []
+        for k, pair in zip(_PARAM_KEYS, _ordered(d, "range")):
             if np.isscalar(pair):
                 pair = (pair, pair)
             if len(pair) != 2:
                 raise ParameterError(f"range for {k} must be [lo, hi], got {pair!r}")
-            kw[_attr(k)] = (float(pair[0]), float(pair[1]))
-        return cls(**kw)
+            pairs.append([_finite(x, k, ParameterError) for x in pair])
+        return cls(np.array(pairs).T)
 
 
 def default_ranges(spread: float = 0.5) -> ParamRanges:
-    """Uniform variation of +-``spread`` around the default physical
-    parameters.  Hysteresis thresholds and the conductance floor are kept
-    fixed so the per-device invariant th_low < th_high cannot be violated
-    by independent draws."""
-    p = DEFAULT_PARAMS
-
-    def around(x):
-        return (x * (1.0 - spread), x * (1.0 + spread))
-
+    """Uniform variation of +-``spread`` around DEFAULT_PARAMS.  Hysteresis
+    thresholds and the conductance floor are kept fixed so the per-device
+    invariant th_low < th_high cannot be violated by independent draws."""
+    fixed = ("th_low", "th_high", "g_floor")
     return ParamRanges(
-        epsilon=around(p.epsilon),
-        theta=around(p.theta),
-        gamma=around(p.gamma),
-        delta=around(p.delta),
-        lam=around(p.lam),
-        eta=around(p.eta),
-        tau=around(p.tau),
-        th_low=(p.th_low, p.th_low),
-        th_high=(p.th_high, p.th_high),
-        g_floor=(p.g_floor, p.g_floor),
-    )
+        [[x if k in fixed else x * (1.0 - spread) for k, x in DEFAULT_PARAMS.items()],
+         [x if k in fixed else x * (1.0 + spread) for k, x in DEFAULT_PARAMS.items()]])
 
 
 # ---------------------------------------------------------------------------

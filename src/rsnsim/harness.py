@@ -9,6 +9,7 @@ same waveform and measures entropy over their differential readouts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .analysis import differential_readout, energy, entropy
 from .device import DECAY_MODES, ParamRanges, default_ranges
-from .errors import ConfigError, RsnError
+from .errors import ConfigError, ParameterError, RsnError, _finite, _integral
 from .solver import (DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY,
                      simulate, sine_waveform)
 from .topology import BetaShape, build_grid, generate_network
@@ -45,6 +46,20 @@ class SweepConfig:
     edge_count: Optional[int] = None
 
     def __post_init__(self):
+        """Apply the number rules of config files to every field and reject,
+        before any run, a value that would fail every record."""
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("alphas", "betas", "amplitudes"):
+            put(name, tuple(_finite(x, name, ConfigError) for x in getattr(self, name)))
+        put("xis", tuple(_integral(x, "xis", ConfigError) for x in self.xis))
+        for name in ("trials", "base_seed", "interface_dim", "subdivision"):
+            put(name, _integral(getattr(self, name), name, ConfigError))
+        for name in ("dt", "duration", "frequency"):
+            put(name, _finite(getattr(self, name), name, ConfigError))
+        if self.edge_count is not None:
+            put("edge_count", _integral(self.edge_count, "edge_count", ConfigError))
         for name in ("alphas", "betas", "xis", "amplitudes"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be non-empty")
@@ -54,14 +69,24 @@ class SweepConfig:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.decay_mode not in DECAY_MODES:
             raise ConfigError(f"decay_mode must be one of {DECAY_MODES}")
-        for name in ("alphas", "betas", "amplitudes"):
-            if not all(math.isfinite(x) for x in getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("dt", "duration", "frequency"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.center, bool):
+            raise ConfigError(f"'center' must be true or false, got {self.center!r}")
         if self.dt <= 0 or self.duration < self.dt:
             raise ConfigError("need dt > 0 and duration >= dt")
+        if min(self.xis) < 1:
+            raise ConfigError(f"xis must be >= 1, got {self.xis!r}")
+        if self.edge_count is not None and self.edge_count < 1:
+            raise ConfigError(f"edge_count must be >= 1, got {self.edge_count!r}")
+        try:
+            build_grid(self.interface_dim, self.subdivision)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
+        for alpha, beta in itertools.product(self.alphas, self.betas):
+            try:
+                BetaShape(alpha, beta)
+            except ParameterError as exc:
+                raise ConfigError(f"alphas x betas cell ({alpha!r}, {beta!r}): "
+                                  f"{exc}") from None
 
     @property
     def n_records(self) -> int:
@@ -81,6 +106,9 @@ class HierarchyConfig:
     readout_b: int = 9
 
     def __post_init__(self):
+        for name in ("k", "readout_a", "readout_b"):
+            object.__setattr__(self, name,
+                               _integral(getattr(self, name), name, ConfigError))
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
         if self.readout_a == self.readout_b:
@@ -226,7 +254,15 @@ def run_sweep(cfg: SweepConfig, workers: int = 1,
 
     Results are returned in canonical cell order regardless of worker
     count, so identical configs always produce identical record lists.
+    Readout labels beyond the ``interface_dim**2`` interface nodes raise
+    ConfigError before any run.
     """
+    if hierarchy is not None:
+        n_iface = cfg.interface_dim ** 2
+        for label in (hierarchy.readout_a, hierarchy.readout_b):
+            if label > n_iface:
+                raise ConfigError(f"readout label {label} exceeds the {n_iface} "
+                                  f"interface nodes")
     items = [(cfg, hierarchy, cell) for cell in _cells(cfg)]
     if workers <= 1:
         return [_run_item(it) for it in items]

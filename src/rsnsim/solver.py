@@ -31,10 +31,6 @@ def sine_waveform(amplitude: float, frequency: float = DEFAULT_FREQUENCY) -> Cal
     return lambda t: amplitude * math.sin(two_pi_f * t)
 
 
-def dc_waveform(value: float) -> Callable[[float], float]:
-    return lambda t: value
-
-
 @dataclass
 class LinearSystem:
     """One assembled time step: ``matrix @ x = rhs``.
@@ -52,10 +48,6 @@ class LinearSystem:
     rhs: np.ndarray
     node_rows: np.ndarray
     source_row: int
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _stamps(t: NetworkTopology):
@@ -161,16 +153,15 @@ class _Assembler:
         self.a = np.concatenate(a)
         self.b = np.concatenate(b)
 
-        # one contiguous row per parameter, in device._PARAM_KEYS order
+        # one contiguous array per parameter, by name
         params = np.concatenate([t.params for t in topologies])
-        (self.eps, self.theta, self.gamma, self.delta, self.lam, self.eta,
-         self.tau, self.th_low, self.th_high,
-         self.g_floor) = np.ascontiguousarray(params.T)
+        self.p = dict(zip(dev._PARAM_KEYS, np.ascontiguousarray(params.T)))
 
     def conductances(self, w: np.ndarray, branch_voltages: np.ndarray) -> np.ndarray:
-        g = dev.conductance_batch(w, branch_voltages, self.eps, self.theta,
-                                  self.gamma, self.delta, self.g_floor)
-        return g + self.g_floor  # parallel floor path per edge
+        p = self.p
+        g = dev.conductance_batch(w, branch_voltages, p["epsilon"], p["theta"],
+                                  p["gamma"], p["delta"], p["g_floor"])
+        return g + p["g_floor"]  # parallel floor path per edge
 
     def build(self, g: np.ndarray, v_in: float) -> List[LinearSystem]:
         """Every member's system for one step, in member order.
@@ -191,6 +182,8 @@ def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> Li
 
     ``branch_voltages`` holds the previous step's per-edge voltages (zeros
     on the first step); conductances are evaluated there and floored.
+    ``simulate`` does not call this; it is the entry point of the
+    single-step oracle tests, which solve the system it returns.
     """
     asm = _Assembler([t])
     branch_voltages = np.asarray(branch_voltages, dtype=float)
@@ -255,10 +248,6 @@ class SimulationTrace:
                                 self.source_current, self.interface_voltages))
         lines.extend(fmt % tuple(row) for row in rows.tolist())
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            f.write(self.to_csv())
 
     @classmethod
     def read_csv(cls, path) -> "SimulationTrace":
@@ -328,6 +317,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     n_steps = int(round(duration / dt))
 
     asm = _Assembler(members)
+    p = asm.p
     n_members, n = len(members), members[0].grid.n_nodes
     # The members' node voltages are stacked: member m's are voltages[m*n:(m+1)*n].
     node_slices = [slice(m * n, (m + 1) * n) for m in range(n_members)]
@@ -367,9 +357,9 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
             iface_v[:, rec] = voltages[iface]
             rec += 1
 
-        w_prime = dev.advance_state_batch(w_prime, branch_v, dt, asm.lam,
-                                          asm.eta, asm.tau, decay_mode=decay_mode)
-        new_w = dev.hysteresis_batch(w_prime, w, asm.th_low, asm.th_high)
+        w_prime = dev.advance_state_batch(w_prime, branch_v, dt, p["lambda"],
+                                          p["eta"], p["tau"], decay_mode=decay_mode)
+        new_w = dev.hysteresis_batch(w_prime, w, p["th_low"], p["th_high"])
         flips += new_w != w
         w = new_w
 

@@ -21,8 +21,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .device import _PARAM_KEYS, DeviceParams, ParamRanges, sample_device_params
-from .errors import DataError, GenerationError, ParameterError
+from .device import (_PARAM_KEYS, ParamRanges, _ordered, check_params,
+                     default_ranges, sample_device_params)
+from .errors import (DataError, GenerationError, ParameterError, _finite,
+                     _integral)
 
 log = logging.getLogger(__name__)
 
@@ -192,20 +194,25 @@ class NetworkTopology:
 
         Node indices outside the grid, and node indices, grid sizes,
         ``seed`` or ``n_augmented`` that are booleans or not integral,
-        raise DataError; bad device parameters or states (a non-integral
-        ``w`` too) raise ParameterError.
+        raise DataError; bad device parameters or states raise
+        ParameterError, and so does a parameter or ``w_prime`` that is not a
+        finite number (a boolean or a string) or a ``w`` that is not
+        integral.
         """
         grid = Grid.from_dict(d["grid"])
         edges = d["edges"]
-        # from_dict checks each device; DeviceParams' fields are in _PARAM_KEYS order
-        rows = [list(vars(DeviceParams.from_dict(e["params"])).values()) for e in edges]
+        params = np.array([[_finite(x, k, ParameterError) for k, x in
+                            zip(_PARAM_KEYS, _ordered(e["params"], "device parameter"))]
+                           for e in edges]).reshape(-1, len(_PARAM_KEYS))
+        check_params(params)
         t = cls(grid=grid,
                 a=np.array([_integral(e["a"], "a", DataError) for e in edges],
                            dtype=int),
                 b=np.array([_integral(e["b"], "b", DataError) for e in edges],
                            dtype=int),
-                params=np.array(rows).reshape(-1, len(_PARAM_KEYS)),
-                w_prime=np.array([float(e["state"]["w_prime"]) for e in edges]),
+                params=params,
+                w_prime=np.array([_finite(e["state"]["w_prime"], "w_prime",
+                                          ParameterError) for e in edges]),
                 w=np.array([_integral(e["state"]["w"], "w", ParameterError)
                             for e in edges], dtype=int),
                 input_node=_integral(d["input_node"], "input_node", DataError),
@@ -226,14 +233,6 @@ class NetworkTopology:
     @classmethod
     def from_json(cls, text: str) -> "NetworkTopology":
         return cls.from_dict(json.loads(text))
-
-
-def _integral(x, key: str, error: type) -> int:
-    """``x`` as an int; a boolean or non-integral value raises ``error``."""
-    if isinstance(x, bool) or not (isinstance(x, int)
-                                   or isinstance(x, float) and x.is_integer()):
-        raise error(f"'{key}' must be an integer, got {x!r}")
-    return int(x)
 
 
 def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,20 +285,19 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
     While input and ground are in different components, the closest pair
     of nodes bridging the input component to the rest of the graph is
     joined with a chain of unit-length lattice edges (fresh devices).
-    Already-connected topologies are returned unchanged.
+    Already-connected topologies are returned unchanged.  The components
+    are labelled once; a chain merges the components of its nodes into the
+    input's, which is the partition a fresh labelling would give.
     """
-    if has_path(t):
+    labels = _components(t.grid.n_nodes, t.a, t.b)
+    if labels[t.input_node] == labels[t.ground_node]:
         return t
     if ranges is None:
-        from .device import default_ranges
         ranges = default_ranges()
 
     side = t.grid.side
-    a, b, params = t.a, t.b, t.params
-    while True:
-        labels = _components(t.grid.n_nodes, a, b)
-        if labels[t.input_node] == labels[t.ground_node]:
-            break
+    chains = []
+    while labels[t.input_node] != labels[t.ground_node]:
         inside = labels == labels[t.input_node]
         src = np.flatnonzero(inside)
         dst = np.flatnonzero(~inside)
@@ -317,13 +315,15 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
                 i, j = divmod(k, dst.size)
                 pair = int(src[lo + i]), int(dst[j])
         chain = np.array(_lattice_chain(t.grid, *pair))
-        a = np.concatenate([a, chain[:, 0]])
-        b = np.concatenate([b, chain[:, 1]])
-        params = np.vstack([params] + [sample_device_params(ranges, rng)
-                                       for _ in chain])
-    added = a.size - t.a.size
+        chains.append(chain)
+        labels[np.isin(labels, labels[chain])] = labels[t.input_node]
+    chain = np.concatenate(chains)
+    added = len(chain)
+    params = np.vstack([t.params] + [sample_device_params(ranges, rng)
+                                     for _ in range(added)])
     log.info("connectivity augmentation added %d edge(s)", added)
-    return NetworkTopology(grid=t.grid, a=a, b=b, params=params,
+    return NetworkTopology(grid=t.grid, a=np.concatenate([t.a, chain[:, 0]]),
+                           b=np.concatenate([t.b, chain[:, 1]]), params=params,
                            w_prime=np.concatenate([t.w_prime, np.zeros(added)]),
                            w=np.concatenate([t.w, np.zeros(added, dtype=int)]),
                            input_node=t.input_node, ground_node=t.ground_node,

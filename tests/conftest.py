@@ -1,9 +1,7 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
-from rsnsim.device import _PARAM_KEYS, DeviceParams
+from rsnsim.device import _PARAM_KEYS, check_params
 from rsnsim.topology import NetworkTopology, build_grid
 
 
@@ -14,16 +12,20 @@ def stamped_edges(t):
     return list(zip(t.a.tolist(), t.b.tolist(), (2.0 * g_floor).tolist()))
 
 
-def fixed_conductance_params(g: float, lam: float = 0.0) -> DeviceParams:
-    """Device whose conductance is exactly ``g/2`` at every bias.
+def fixed_conductance_params(g: float) -> list:
+    """Parameter row of a device whose conductance is exactly ``g/2`` at
+    every bias, with lambda 0.
 
     Both branch kernels are made negligibly small so the per-device
     conductance floor wins; the assembler adds the floor again in
     parallel, so the stamped branch conductance is exactly ``g``.
     """
-    return DeviceParams(epsilon=1e-30, theta=1.0, gamma=1e-30, delta=1.0,
-                        lam=lam, eta=1.0, tau=1.0, th_low=0.4, th_high=0.6,
-                        g_floor=g / 2.0)
+    p = {"epsilon": 1e-30, "theta": 1.0, "gamma": 1e-30, "delta": 1.0,
+         "lambda": 0.0, "eta": 1.0, "tau": 1.0, "th_low": 0.4, "th_high": 0.6,
+         "g_floor": g / 2.0}
+    row = [p[k] for k in _PARAM_KEYS]
+    check_params(row)
+    return row
 
 
 def linear_topology(edges, input_node=0, ground_node=None, interface_dim=4,
@@ -40,7 +42,7 @@ def linear_topology(edges, input_node=0, ground_node=None, interface_dim=4,
         grid=grid,
         a=np.array([a for a, _, _ in edges], dtype=int),
         b=np.array([b for _, b, _ in edges], dtype=int),
-        params=np.array([astuple(fixed_conductance_params(g)) for _, _, g in edges]),
+        params=np.array([fixed_conductance_params(g) for _, _, g in edges]),
         w_prime=np.zeros(n), w=np.zeros(n, dtype=int),
         input_node=input_node, ground_node=ground_node, seed=0)
 

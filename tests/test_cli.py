@@ -167,7 +167,11 @@ class TestSimulate:
                      lambda d: d["edges"][3]["state"].update(w=1.9),
                      lambda d: d.update(seed=1.9),
                      lambda d: d.update(n_augmented=True),
-                     lambda d: d["grid"].update(subdivision=1.7)):
+                     lambda d: d["grid"].update(subdivision=1.7),
+                     lambda d: d["edges"][3]["params"].update(epsilon=True),
+                     lambda d: d["edges"][3]["params"].update(tau="0.2"),
+                     lambda d: d["edges"][3]["state"].update(w_prime=True),
+                     lambda d: d["edges"][3]["state"].update(w_prime="0.5")):
             doc = json.loads(open(topo_file).read())
             edit(doc)
             write_json(bad, doc)
@@ -261,7 +265,11 @@ class TestSweep:
                            ("amplitudes", [True]), ("dt", float("nan")),
                            ("duration", True), ("frequency", "5"),
                            ("ranges", dict(default_ranges().to_dict(),
-                                           g_floor=True))):
+                                           g_floor=True)),
+                           # values that would fail every record
+                           ("alphas", [0]), ("betas", [-1]), ("xis", [0]),
+                           ("interface_dim", 1), ("subdivision", -1),
+                           ("edge_count", 0)):
             caplog.clear()
             cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, **{key: value}))
             assert main(["sweep", "--config", cfg,

@@ -1,13 +1,13 @@
 import math
-from dataclasses import astuple
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, DeviceParams,
-                           ParamRanges, advance_state_batch, conductance_batch,
+from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, ParamRanges,
+                           advance_state_batch, check_params, conductance_batch,
                            default_ranges, hysteresis_batch,
                            sample_device_params)
 from rsnsim.errors import ParameterError
@@ -19,27 +19,44 @@ TAU = _PARAM_KEYS.index("tau")
 
 
 def params(**over):
-    base = dict(epsilon=1e-4, theta=4.0, gamma=4e-4, delta=2.0, lam=1.0,
-                eta=4.0, tau=0.2, th_low=0.4, th_high=0.6, g_floor=1e-12)
-    base.update(over)
-    return DeviceParams(**base)
+    """One device's parameters by name, checked as a parameter row."""
+    p = {"epsilon": 1e-4, "theta": 4.0, "gamma": 4e-4, "delta": 2.0,
+         "lambda": 1.0, "eta": 4.0, "tau": 0.2, "th_low": 0.4, "th_high": 0.6,
+         "g_floor": 1e-12, **over}
+    check_params([p[k] for k in _PARAM_KEYS])
+    return p
+
+
+def ranges(**over):
+    """ParamRanges with every parameter fixed at DEFAULT_PARAMS, except the
+    (lo, hi) pairs in ``over``."""
+    pairs = {k: (x, x) for k, x in DEFAULT_PARAMS.items()}
+    pairs.update(over)
+    return ParamRanges(np.array([pairs[k] for k in _PARAM_KEYS]).T)
 
 
 def conductance(w, V, p):
     """Conductance of one device in binary state ``w`` at bias ``V``."""
-    return float(conductance_batch(w, V, p.epsilon, p.theta, p.gamma, p.delta,
-                                   p.g_floor))
+    return float(conductance_batch(w, V, p["epsilon"], p["theta"], p["gamma"],
+                                   p["delta"], p["g_floor"]))
 
 
 def advance(w_prime, V, dt, p, decay_mode="state_dependent"):
     """One Euler step of one device's internal state."""
-    return float(advance_state_batch(w_prime, V, dt, p.lam, p.eta, p.tau,
-                                     decay_mode=decay_mode))
+    return float(advance_state_batch(w_prime, V, dt, p["lambda"], p["eta"],
+                                     p["tau"], decay_mode=decay_mode))
 
 
 def threshold(w_prime, w, p):
     """One device's binary state after hysteresis."""
-    return int(hysteresis_batch(w_prime, w, p.th_low, p.th_high))
+    return int(hysteresis_batch(w_prime, w, p["th_low"], p["th_high"]))
+
+
+def one_device_doc(row):
+    """A one-device topology document whose device has parameter row ``row``."""
+    t = linear_topology([(0, 15, 1.0)])
+    t.params = np.array([row], dtype=float)
+    return t.to_dict()
 
 
 def load_with_state(w_prime, w):
@@ -69,7 +86,7 @@ class TestConductance:
 
     def test_limit_continuity_at_1e8_volts(self):
         p = params()
-        for w, limit in ((0, p.epsilon * p.theta), (1, p.gamma * p.delta)):
+        for w, limit in ((0, p["epsilon"] * p["theta"]), (1, p["gamma"] * p["delta"])):
             for sign in (1.0, -1.0):
                 g = conductance(w, sign * 1e-8, p)
                 assert abs(g - limit) / limit < 1e-9
@@ -98,8 +115,8 @@ class TestConductance:
         p = params()
         vs = rng.uniform(-8, 8, size=40)
         ws = rng.integers(0, 2, size=40)
-        batch = conductance_batch(ws, vs, p.epsilon, p.theta, p.gamma,
-                                  p.delta, p.g_floor)
+        batch = conductance_batch(ws, vs, p["epsilon"], p["theta"], p["gamma"],
+                                  p["delta"], p["g_floor"])
         for i in range(40):
             assert batch[i] == conductance(int(ws[i]), float(vs[i]), p)
 
@@ -189,7 +206,7 @@ class TestInternalState:
 
     def test_frozen_device_stays_frozen_under_extreme_bias(self):
         # lam = 0 must win against any sinh magnitude
-        assert advance(0.3, 500.0, 1.0, params(lam=0.0)) < 0.3
+        assert advance(0.3, 500.0, 1.0, params(**{"lambda": 0.0})) < 0.3
 
 
 class TestHysteresis:
@@ -214,17 +231,23 @@ class TestHysteresis:
                 (ups if new_w == 1 else downs).append(float(wp))
             w = new_w
         assert len(ups) == 1 and len(downs) == 1
-        assert ups[0] >= p.th_high and downs[0] <= p.th_low
+        assert ups[0] >= p["th_high"] and downs[0] <= p["th_low"]
 
 
 class TestSampling:
     def test_degenerate_ranges_exact(self, rng):
-        r = ParamRanges(**{f: (v, v) for f, v in (
-            ("epsilon", 1e-4), ("theta", 4.0), ("gamma", 4e-4), ("delta", 2.0),
-            ("lam", 1.0), ("eta", 4.0), ("tau", 0.2), ("th_low", 0.4),
-            ("th_high", 0.6), ("g_floor", 1e-9))})
+        r = ParamRanges([[1e-4, 4.0, 4e-4, 2.0, 1.0, 4.0, 0.2, 0.4, 0.6, 1e-9]] * 2)
         row = sample_device_params(r, rng)
-        assert row.tolist() == list(astuple(DEFAULT_PARAMS))
+        assert row.tolist() == list(DEFAULT_PARAMS.values())
+
+    def test_default_bounds_pinned(self):
+        # the sampling bounds, bit for bit: moving one moves every draw
+        b = default_ranges().bounds
+        assert b.shape == (2, 10)
+        assert b.tolist() == [
+            [5e-05, 2.0, 0.0002, 1.0, 0.5, 2.0, 0.1, 0.4, 0.6, 1e-09],
+            [0.00015000000000000001, 6.0, 0.0006000000000000001, 3.0, 1.5, 6.0,
+             0.30000000000000004, 0.4, 0.6, 1e-09]]
 
     def test_uniform_mean(self):
         r = default_ranges()  # tau range is [0.1, 0.3]
@@ -233,10 +256,9 @@ class TestSampling:
         assert abs(np.mean(taus) - 0.2) < 0.004  # 0.02 scaled to the range width
 
     def test_uniform_mean_explicit_interval(self):
-        kw = {f.name: getattr(default_ranges(), f.name)
-              for f in ParamRanges.__dataclass_fields__.values()}
-        kw["tau"] = (0.5, 1.5)
-        r = ParamRanges(**{k: tuple(v) for k, v in kw.items()})
+        bounds = default_ranges().bounds.copy()
+        bounds[:, TAU] = (0.5, 1.5)
+        r = ParamRanges(bounds)
         rng = np.random.default_rng(6)
         taus = [sample_device_params(r, rng)[TAU] for _ in range(10_000)]
         assert abs(np.mean(taus) - 1.0) < 0.02
@@ -249,22 +271,17 @@ class TestSampling:
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ParameterError):
-            ParamRanges(epsilon=(2.0, 1.0), theta=(4, 4), gamma=(4e-4, 4e-4),
-                        delta=(2, 2), lam=(1, 1), eta=(4, 4), tau=(0.2, 0.2),
-                        th_low=(0.4, 0.4), th_high=(0.6, 0.6),
-                        g_floor=(1e-9, 1e-9))
+            ranges(epsilon=(2.0, 1.0))
 
     def test_rejects_overlapping_threshold_ranges(self):
         with pytest.raises(ParameterError):
-            ParamRanges(epsilon=(1e-4, 1e-4), theta=(4, 4), gamma=(4e-4, 4e-4),
-                        delta=(2, 2), lam=(1, 1), eta=(4, 4), tau=(0.2, 0.2),
-                        th_low=(0.3, 0.55), th_high=(0.5, 0.7),
-                        g_floor=(1e-9, 1e-9))
+            ranges(th_low=(0.3, 0.55), th_high=(0.5, 0.7))
 
 
 class TestValidation:
     @pytest.mark.parametrize("field,value", [
-        ("tau", 0.0), ("tau", -1.0), ("lam", -0.1), ("eta", 0.0),
+        ("tau", 0.0), ("tau", -1.0), pytest.param("lambda", -0.1, id="lam--0.1"),
+        ("eta", 0.0),
         ("epsilon", 0.0), ("gamma", -1e-4), ("theta", 0.0), ("delta", 0.0),
         ("g_floor", 0.0), ("th_low", 0.0), ("th_high", 1.0),
     ])
@@ -285,25 +302,31 @@ class TestValidation:
             load_with_state(0.0, 2)
 
     def test_params_roundtrip(self):
-        d = DEFAULT_PARAMS.to_dict()
+        # parameter rows are written and read as {key: value} documents
+        doc = one_device_doc(list(DEFAULT_PARAMS.values()))
+        d = doc["edges"][0]["params"]
         assert d["lambda"] == 1.0
-        assert DeviceParams.from_dict(d) == DEFAULT_PARAMS
+        back = NetworkTopology.from_dict(doc).params
+        assert back.tolist() == [list(DEFAULT_PARAMS.values())]
 
     def test_params_dict_rejects_unknown_key(self):
-        d = DEFAULT_PARAMS.to_dict()
-        d["zeta"] = 1.0
+        doc = one_device_doc(list(DEFAULT_PARAMS.values()))
+        doc["edges"][0]["params"]["zeta"] = 1.0
         with pytest.raises(ParameterError):
-            DeviceParams.from_dict(d)
+            NetworkTopology.from_dict(doc)
 
     def test_ranges_roundtrip(self):
         r = default_ranges()
         assert ParamRanges.from_dict(r.to_dict()) == r
+        # a SweepConfig field: workers unpickle it, and the frozen config hashes it
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert hash(r) == hash(default_ranges())
 
 
 def test_advance_state_batch_vectorizes(rng):
     p = params()
     wp = rng.uniform(0, 1, size=30)
     vs = rng.uniform(-4, 4, size=30)
-    batch = advance_state_batch(wp, vs, 1e-3, p.lam, p.eta, p.tau)
+    batch = advance_state_batch(wp, vs, 1e-3, p["lambda"], p["eta"], p["tau"])
     for i in range(30):
         assert batch[i] == advance(float(wp[i]), float(vs[i]), 1e-3, p)

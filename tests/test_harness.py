@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from rsnsim import harness, solver
 from rsnsim.analysis import differential_readout, energy, entropy
-from rsnsim.device import default_ranges
+from rsnsim.device import _PARAM_KEYS, ParamRanges, default_ranges
 from rsnsim.errors import ConfigError, GenerationError, NumericalError, RsnError
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
                             derive_seed, member_seed, run_hierarchy,
@@ -21,10 +19,9 @@ def small_config(**over):
 
 
 def frozen_ranges():
-    kw = {f.name: getattr(default_ranges(), f.name)
-          for f in dataclasses.fields(default_ranges())}
-    kw["lam"] = (0.0, 0.0)
-    return type(default_ranges())(**kw)
+    bounds = default_ranges().bounds.copy()
+    bounds[:, _PARAM_KEYS.index("lambda")] = 0.0
+    return ParamRanges(bounds)
 
 
 class TestSeeds:
@@ -170,6 +167,9 @@ class TestRunHierarchy:
             HierarchyConfig(k=0)
         with pytest.raises(ConfigError):
             HierarchyConfig(readout_a=3, readout_b=3)
+        for bad in (dict(k=2.5), dict(readout_a=True), dict(readout_b=9.5)):
+            with pytest.raises(ConfigError):
+                HierarchyConfig(**bad)
 
 
 class TestLockstep:
@@ -179,7 +179,7 @@ class TestLockstep:
         cfg = small_config()
         topos = [harness._make_topology(cfg, 1.0, 2.0, 1, member_seed(40, k))
                  for k in range(6)]
-        dims = {assemble(t, np.zeros(t.edge_count), 0.0).dimension for t in topos}
+        dims = {assemble(t, np.zeros(t.edge_count), 0.0).matrix.shape[0] for t in topos}
         assert len(dims) > 1 and len({t.n_augmented for t in topos}) > 1
         kw = dict(dt=1e-3, duration=0.3, decimation=3, decay_mode="plain")
         wave = sine_waveform(8.0)
@@ -287,6 +287,12 @@ class TestRunSweep:
         nan, inf = float("nan"), float("inf")
         for bad in (dict(dt=nan), dict(duration=inf), dict(duration=nan),
                     dict(frequency=nan), dict(frequency=inf), dict(alphas=(1.0, nan)),
-                    dict(betas=(inf,)), dict(amplitudes=(nan,))):
+                    dict(betas=(inf,)), dict(amplitudes=(nan,)),
+                    # values that would fail every record
+                    dict(alphas=(0,)), dict(betas=(-1,)), dict(xis=(0,)),
+                    dict(xis=(2.5,)), dict(interface_dim=1),
+                    dict(subdivision=-1), dict(edge_count=0)):
             with pytest.raises(ConfigError):
                 small_config(**bad)
+        with pytest.raises(ConfigError, match="readout label 99"):
+            run_sweep(small_config(), hierarchy=HierarchyConfig(readout_b=99))

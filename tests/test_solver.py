@@ -6,8 +6,8 @@ import pytest
 from rsnsim.device import default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
 from rsnsim import solver
-from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, dc_waveform,
-                           simulate, sine_waveform, solve_step)
+from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
+                           sine_waveform, solve_step)
 from rsnsim.topology import BetaShape, build_grid, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
@@ -122,7 +122,7 @@ class TestOracleEquivalence:
 class TestSimulate:
     def test_null_drive(self):
         t = linear_topology([(0, 6, 1.0), (6, 15, 1.0)])
-        trace = simulate(t, dc_waveform(0.0), dt=1e-3, duration=0.02)
+        trace = simulate(t, lambda t: 0.0, dt=1e-3, duration=0.02)
         assert np.all(trace.interface_voltages == 0.0)
         assert np.all(trace.source_current == 0.0)
         assert trace.switching_events == 0
@@ -183,13 +183,13 @@ class TestSimulate:
     def test_argument_validation(self):
         t = linear_topology([(0, 15, 1.0)])
         with pytest.raises(ParameterError):
-            simulate(t, dc_waveform(1.0), dt=0.0, duration=1.0)
+            simulate(t, lambda t: 1.0, dt=0.0, duration=1.0)
         with pytest.raises(ParameterError):
-            simulate(t, dc_waveform(1.0), dt=0.1, duration=0.01)
+            simulate(t, lambda t: 1.0, dt=0.1, duration=0.01)
         with pytest.raises(ParameterError):
-            simulate(t, dc_waveform(1.0), dt=float("nan"), duration=1.0)
+            simulate(t, lambda t: 1.0, dt=float("nan"), duration=1.0)
         with pytest.raises(ParameterError):
-            simulate(t, dc_waveform(1.0), dt=1e-3, duration=float("inf"))
+            simulate(t, lambda t: 1.0, dt=1e-3, duration=float("inf"))
         with pytest.raises(DataError):
             simulate(t, lambda s: float("inf"), dt=1e-3, duration=0.01)
 
@@ -205,13 +205,13 @@ class TestSimulate:
     def test_member_errors_carry_index(self, monkeypatch):
         good = linear_topology([(0, 15, 1.0)])
         with pytest.raises(ParameterError) as exc:
-            simulate([good, linear_topology([(1, 2, 1.0)])], dc_waveform(1.0),
+            simulate([good, linear_topology([(1, 2, 1.0)])], lambda t: 1.0,
                      dt=1e-3, duration=0.01)
         assert exc.value.member == 1
         with pytest.raises(ParameterError) as exc:
             simulate([good, good, linear_topology([(0, 3, 1.0)], ground_node=3,
                                                   interface_dim=3)],
-                     dc_waveform(1.0), dt=1e-3, duration=0.01)
+                     lambda t: 1.0, dt=1e-3, duration=0.01)
         assert exc.value.member == 2 and "one grid" in str(exc.value)
 
         real = solver.solve_step
@@ -225,7 +225,7 @@ class TestSimulate:
 
         monkeypatch.setattr(solver, "solve_step", flaky)
         with pytest.raises(NumericalError) as exc:
-            simulate([good] * 3, dc_waveform(1.0), dt=1e-3, duration=0.01)
+            simulate([good] * 3, lambda t: 1.0, dt=1e-3, duration=0.01)
         assert (exc.value.member, exc.value.step) == (1, 4)
 
     def test_numerical_error_carries_step_index(self):
@@ -239,7 +239,7 @@ class TestTraceCsv:
         t = linear_topology([(0, 5, 1.0), (5, 15, 0.5)])
         trace = simulate(t, sine_waveform(2.0), dt=1e-3, duration=0.05)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        path.write_text(trace.to_csv())
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t,v_in,i_src,node_1")
         assert len(lines) == trace.n_steps + 1
