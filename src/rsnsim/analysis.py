@@ -77,17 +77,19 @@ def entropy(X: np.ndarray, center: bool = True) -> EntropyResult:
 
 
 def energy(trace: SimulationTrace) -> EnergyResult:
-    """Total source energy by left-Riemann sum of v_in(t) * i_src(t)."""
-    v = np.asarray(trace.applied_voltage, dtype=float)
-    i = np.asarray(trace.source_current, dtype=float)
+    """Total source energy by left-Riemann sum of v_in(t) * i_src(t), over
+    every simulated step even when the trace's rows are decimated."""
+    dt, v, i = trace.every_step or (trace.dt, trace.applied_voltage,
+                                    trace.source_current)
+    v, i = np.asarray(v, dtype=float), np.asarray(i, dtype=float)
     if v.shape != i.shape:
         raise DataError(f"voltage/current length mismatch: {v.shape} vs {i.shape}")
-    if trace.dt <= 0.0:
-        raise DataError(f"trace dt must be > 0, got {trace.dt!r}")
+    if dt <= 0.0:
+        raise DataError(f"trace dt must be > 0, got {dt!r}")
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(i))):
         raise DataError("trace contains non-finite entries")
-    e = float(np.dot(v, i) * trace.dt)
-    duration = trace.dt * v.size
+    e = float(np.dot(v, i) * dt)
+    duration = dt * v.size
     return EnergyResult(energy_joules=e, duration=duration,
                         mean_power=e / duration)
 

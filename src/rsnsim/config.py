@@ -10,7 +10,7 @@ import json
 from functools import partial
 from typing import Optional
 
-from .device import ParamRanges, default_ranges
+from .device import ParamRanges, check_decay_mode, default_ranges
 from .errors import ConfigError, _finite, _integral
 from .harness import HierarchyConfig, SweepConfig
 from .solver import DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY
@@ -95,13 +95,14 @@ def parse_simulate(doc: dict) -> dict:
         "frequency": _float(doc.get("frequency", DEFAULT_FREQUENCY), "frequency"),
         "dt": _float(doc.get("dt", DEFAULT_DT), "dt"),
         "duration": _float(doc.get("duration", DEFAULT_DURATION), "duration"),
-        "decay_mode": str(doc.get("decay_mode", "state_dependent")),
+        "decay_mode": doc.get("decay_mode", "state_dependent"),
         "decimation": _int(doc.get("decimation", 1), "decimation"),
     }
     if out["dt"] <= 0 or out["duration"] < out["dt"]:
         raise ConfigError("need dt > 0 and duration >= dt")
     if out["decimation"] < 1:
         raise ConfigError("'decimation' must be >= 1")
+    check_decay_mode(out["decay_mode"], ConfigError)
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
@@ -76,6 +77,12 @@ def check_params(rows) -> None:
         i = np.flatnonzero(~ok)[0]
         raise ParameterError(f"thresholds must satisfy 0 < th_low < th_high < 1, "
                              f"got ({float(low[i])!r}, {float(high[i])!r})")
+
+
+def check_decay_mode(mode, error: type = ParameterError) -> None:
+    """Raise ``error`` unless ``mode`` is one of DECAY_MODES."""
+    if not (isinstance(mode, str) and mode in DECAY_MODES):
+        raise error(f"decay_mode must be one of {DECAY_MODES}, got {mode!r}")
 
 
 def _ordered(d: dict, what: str) -> list:
@@ -166,12 +173,16 @@ def conductance_batch(w, V, epsilon, theta, gamma, delta, g_floor):
     max(G, g_floor) + g_floor.
     """
     absV = np.abs(np.asarray(V, dtype=float))
-    small = absV <= V_LIMIT_SWITCH
-    safe = np.where(small, 1.0, absV)
-    off = np.where(small, epsilon * theta,
-                   epsilon * -np.expm1(-theta * safe) / safe)
-    on = np.where(small, gamma * delta,
-                  gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe)
+    # The V -> 0 guard runs only when some |V| needs it (NaN included): with
+    # an all-False mask np.where returns its second operand, so the bits agree.
+    guard = not (absV.size and absV.min() > V_LIMIT_SWITCH)
+    small = absV <= V_LIMIT_SWITCH if guard else None
+    safe = np.where(small, 1.0, absV) if guard else absV
+    off = epsilon * -np.expm1(-theta * safe) / safe
+    on = gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe
+    if guard:
+        off = np.where(small, epsilon * theta, off)
+        on = np.where(small, gamma * delta, on)
     g = np.where(np.asarray(w) == 1, on, off)
     return np.maximum(g, g_floor)
 
@@ -183,8 +194,7 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
     state_dependent: dw'/dt = lam*sinh(eta*|V|) - (w'/tau)*(1 - w')
     plain:           dw'/dt = lam*sinh(eta*|V|) - w'/tau
     """
-    if decay_mode not in DECAY_MODES:
-        raise ParameterError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
+    check_decay_mode(decay_mode)
     if not dt > 0.0:
         raise ParameterError(f"dt must be > 0, got {dt!r}")
     absV = np.abs(np.asarray(V, dtype=float))
@@ -202,17 +212,24 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
 
 def hysteresis_batch(w_prime, w, th_low, th_high):
     """Binary thresholding with a dead band: w -> 1 above th_high,
-    0 below th_low, unchanged in between."""
-    w_arr = np.asarray(w)
-    return np.where(w_prime >= th_high, 1,
-                    np.where(w_prime <= th_low, 0, w_arr)).astype(w_arr.dtype)
+    0 below th_low, unchanged in between.  Returns a new array like ``w``."""
+    out = np.array(w)
+    out[w_prime <= th_low] = 0
+    out[w_prime >= th_high] = 1  # stored last: wins where the bands overlap
+    return out
 
 
-def sample_device_params(r: ParamRanges, rng: np.random.Generator) -> np.ndarray:
+def sample_device_params(r: ParamRanges, rng: np.random.Generator,
+                         n: Optional[int] = None) -> np.ndarray:
     """Draw each parameter independently and uniformly from its interval.
 
     Returns one (10,) parameter row in _PARAM_KEYS order, which is also the
-    draw order, so a seeded stream yields a reproducible parameter sequence.
+    draw order, so a seeded stream yields a reproducible parameter sequence;
+    given ``n``, n such rows.  Values and generator state are those of
+    ``rng.uniform(*r.bounds)``, whose formula this is; that bit-equality
+    holds where numpy's C ``uniform`` is built without fused multiply-add
+    (checked on x86-64 only; TestSamplingReference guards it elsewhere).
     The ranges' own checks guarantee that every draw is a valid device.
     """
-    return rng.uniform(*r.bounds)
+    lo, hi = r.bounds
+    return lo + (hi - lo) * rng.random(lo.shape if n is None else (n, lo.size))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import differential_readout, energy, entropy
-from .device import DECAY_MODES, ParamRanges, default_ranges
+from .device import ParamRanges, check_decay_mode, default_ranges
 from .errors import ConfigError, ParameterError, RsnError, _finite, _integral
 from .solver import (DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY,
                      simulate, sine_waveform)
@@ -67,8 +66,7 @@ class SweepConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
-        if self.decay_mode not in DECAY_MODES:
-            raise ConfigError(f"decay_mode must be one of {DECAY_MODES}")
+        check_decay_mode(self.decay_mode, ConfigError)
         if not isinstance(self.center, bool):
             raise ConfigError(f"'center' must be true or false, got {self.center!r}")
         if self.dt <= 0 or self.duration < self.dt:
@@ -266,6 +264,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1,
     items = [(cfg, hierarchy, cell) for cell in _cells(cfg)]
     if workers <= 1:
         return [_run_item(it) for it in items]
+    # imported here: it loads multiprocessing, which a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_item, items, chunksize=max(1, len(items) // (4 * workers))))
 

@@ -10,8 +10,9 @@ internal state is advanced with the fresh branch voltages.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class LinearSystem:
 
     Unknowns are the voltages of the ground-component nodes except ground
     itself (rows given by ``node_rows``; ground and floating-island nodes
-    map to -1) followed by the source branch current.  The conductance
+    map to -1) followed by the source branch current.  ``rhs`` is zero
+    except at ``source_row``, which holds the source voltage.  The conductance
     block is symmetric.  Each device is stamped with max(G, g_floor) +
     g_floor: the device kernel floors its conductance, and the assembler
     adds a parallel g_floor path.  With that positive floor on every edge
@@ -207,8 +209,11 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
         x = np.linalg.solve(sys.matrix, sys.rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear solve failed: {exc}", step=step) from None
-    residual = np.abs(sys.matrix @ x - sys.rhs).max()
-    bound = RESIDUAL_RTOL * max(1.0, np.abs(sys.rhs).max())
+    r = sys.matrix @ x
+    r -= sys.rhs
+    residual = np.abs(r, out=r).max()
+    # ||rhs||_inf is |v_in|: rhs is zero outside the source row
+    bound = RESIDUAL_RTOL * max(1.0, abs(sys.rhs[sys.source_row]))
     if not residual < bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
@@ -230,6 +235,9 @@ class SimulationTrace:
     source_current: np.ndarray      # (T,)
     applied_voltage: np.ndarray     # (T,)
     switching_events: int
+    # A decimated run's (step dt, v_in, i_src) at every step, not only at the
+    # rows; energy() integrates these.  None when every step is a row.
+    every_step: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
 
     @property
     def n_steps(self) -> int:
@@ -252,27 +260,33 @@ class SimulationTrace:
     @classmethod
     def read_csv(cls, path) -> "SimulationTrace":
         """Read a trace CSV.  The CSV carries no switching count, so
-        ``switching_events`` reads back as 0."""
+        ``switching_events`` reads back as 0.  A ragged row or a value that
+        is not a number raises DataError."""
         try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
+            with open(path) as f:
+                names = [n.strip() for n in f.readline().split(",")]
+                with warnings.catch_warnings():  # a header-only trace is valid
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(f, delimiter=",", ndmin=2)
         except OSError:
             raise
         except Exception as exc:
             raise DataError(f"trace file {path} is not parseable: {exc}") from None
-        if data.ndim == 0:
-            data = data.reshape(1)
-        names = list(data.dtype.names or ())
+        if data.size == 0:
+            data = data.reshape(0, len(names))
+        if data.shape[1] != len(names):
+            raise DataError(f"trace file {path} has {data.shape[1]} columns "
+                            f"but {len(names)} names")
         if not {"t", "v_in", "i_src"} <= set(names):
             raise DataError(f"trace file {path} lacks t/v_in/i_src columns")
-        node_cols = [n for n in names if n.startswith("node_")]
-        times = np.asarray(data["t"], dtype=float)
+        col = {n: data[:, j] for j, n in enumerate(names)}
+        times = col["t"]
         dt = float(times[1] - times[0]) if times.size > 1 else 0.0
-        iface = np.column_stack([data[c] for c in node_cols]) if node_cols else \
-            np.zeros((times.size, 0))
-        return cls(times=times, dt=dt,
-                   interface_voltages=iface,
-                   source_current=np.asarray(data["i_src"], dtype=float),
-                   applied_voltage=np.asarray(data["v_in"], dtype=float),
+        nodes = [j for j, n in enumerate(names) if n.startswith("node_")]
+        # np.take keeps C order (data[:, nodes] would not), and entropy's
+        # sums depend on the layout
+        return cls(times=times, dt=dt, interface_voltages=np.take(data, nodes, 1),
+                   source_current=col["i_src"], applied_voltage=col["v_in"],
                    switching_events=0)
 
 
@@ -314,6 +328,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
         raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
     if decimation < 1:
         raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
+    dev.check_decay_mode(decay_mode)
     n_steps = int(round(duration / dt))
 
     asm = _Assembler(members)
@@ -329,11 +344,13 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     branch_v = np.zeros(w.size)
     flips = np.zeros(w.size, dtype=int)
 
+    # The source series are kept at every step (the energy needs them), the
+    # interface voltages only at the recorded rows.
     n_rec = len(range(0, n_steps, decimation))
     times = np.empty(n_rec)
-    v_in_rec = np.empty(n_rec)
     iface_v = np.empty((n_members, n_rec, iface.shape[1]))
-    i_src_rec = np.empty((n_members, n_rec))
+    v_in_all = np.empty(n_steps)
+    i_src_all = np.empty((n_members, n_steps))
 
     rec = 0
     for k in range(n_steps):
@@ -350,10 +367,10 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
                 raise
         branch_v = voltages[asm.a] - voltages[asm.b]
 
+        v_in_all[k] = v_in
+        i_src_all[:, k] = i_src
         if k % decimation == 0:
             times[rec] = t_k
-            v_in_rec[rec] = v_in
-            i_src_rec[:, rec] = i_src
             iface_v[:, rec] = voltages[iface]
             rec += 1
 
@@ -366,8 +383,10 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     traces = TraceBatch(
         SimulationTrace(times=times, dt=dt * decimation,
                         interface_voltages=iface_v[m],
-                        source_current=i_src_rec[m],
-                        applied_voltage=v_in_rec,
-                        switching_events=int(flips[edges].sum()))
+                        source_current=i_src_all[m, ::decimation],
+                        applied_voltage=v_in_all[::decimation],
+                        switching_events=int(flips[edges].sum()),
+                        every_step=None if decimation == 1 else
+                        (dt, v_in_all, i_src_all[m]))
         for m, edges in enumerate(asm.edge_slices))
     return traces[0] if single else traces

@@ -31,6 +31,12 @@ log = logging.getLogger(__name__)
 # src x dst pairs per block of the bridging search: bounds its temporaries
 _BRIDGE_BLOCK = 1 << 14
 
+# One edge of json.dumps(topology.to_dict(), indent=1), its values as %r.
+_EDGE_JSON = "\n".join(json.dumps(
+    {"edges": [{"a": 0, "b": 0, "params": dict.fromkeys(_PARAM_KEYS, 0),
+                "state": {"w_prime": 0, "w": 0}}]},
+    indent=1).replace(": 0", ": %r").splitlines()[2:-2])
+
 
 @dataclass(frozen=True)
 class BetaShape:
@@ -170,23 +176,33 @@ class NetworkTopology:
     def generated_edge_count(self) -> int:
         return self.a.size - self.n_augmented
 
-    def to_dict(self) -> dict:
-        edges = [{"a": a, "b": b, "params": dict(zip(_PARAM_KEYS, p)),
-                  "state": {"w_prime": wp, "w": w}}
-                 for a, b, p, wp, w in zip(self.a.tolist(), self.b.tolist(),
-                                           self.params.tolist(),
-                                           self.w_prime.tolist(), self.w.tolist())]
+    def _edge_rows(self):
+        return zip(self.a.tolist(), self.b.tolist(), self.params.tolist(),
+                   self.w_prime.tolist(), self.w.tolist())
+
+    def _head(self) -> dict:
         return {
             "grid": self.grid.to_dict(),
             "input_node": int(self.input_node),
             "ground_node": int(self.ground_node),
             "seed": int(self.seed),
             "n_augmented": int(self.n_augmented),
-            "edges": edges,
         }
 
+    def to_dict(self) -> dict:
+        return dict(self._head(), edges=[
+            {"a": a, "b": b, "params": dict(zip(_PARAM_KEYS, p)),
+             "state": {"w_prime": wp, "w": w}}
+            for a, b, p, wp, w in self._edge_rows()])
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        """``json.dumps(self.to_dict(), indent=1)`` without json's slow
+        indenting encoder: ``%r`` writes ints and finite floats as json does."""
+        head = json.dumps(self._head(), indent=1)[:-2]
+        edges = ",\n".join(_EDGE_JSON % (a, b, *p, wp, w)
+                           for a, b, p, wp, w in self._edge_rows())
+        return head + (',\n "edges": [\n' + edges + "\n ]\n}" if edges
+                       else ',\n "edges": []\n}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
@@ -319,8 +335,7 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
         labels[np.isin(labels, labels[chain])] = labels[t.input_node]
     chain = np.concatenate(chains)
     added = len(chain)
-    params = np.vstack([t.params] + [sample_device_params(ranges, rng)
-                                     for _ in range(added)])
+    params = np.vstack([t.params, sample_device_params(ranges, rng, added)])
     log.info("connectivity augmentation added %d edge(s)", added)
     return NetworkTopology(grid=t.grid, a=np.concatenate([t.a, chain[:, 0]]),
                            b=np.concatenate([t.b, chain[:, 1]]), params=params,

@@ -9,7 +9,6 @@ the straightforward search over the full n x n distance map.
 
 import numpy as np
 
-from rsnsim.device import sample_device_params
 from rsnsim.topology import (NetworkTopology, _components, _lattice_chain,
                              beta_sample)
 
@@ -82,7 +81,8 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
                      seed=0):
     """Reference generation: each endpoint from row ``start`` of the full
     distance map, and each bridge from the argmin over all |src| x |dst|
-    distances; the draws are the package's, in the same order."""
+    distances; the draws are the package's, in the same order, with each
+    device's parameters from ``rng.uniform``."""
     dmap = distance_map(grid)
     n = grid.n_nodes
     a, b, params = [], [], []
@@ -94,7 +94,7 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
         ties = np.flatnonzero(diffs == diffs.min())
         a.append(start)
         b.append(int(ties[rng.integers(ties.size)]))
-        params.append(sample_device_params(ranges, rng))
+        params.append(rng.uniform(*ranges.bounds))
     a, b, params = np.array(a), np.array(b), np.array(params)
     n_generated = a.size
 
@@ -111,7 +111,7 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
         chain = np.array(_lattice_chain(grid, int(src[i]), int(dst[j])))
         a = np.concatenate([a, chain[:, 0]])
         b = np.concatenate([b, chain[:, 1]])
-        params = np.vstack([params] + [sample_device_params(ranges, rng)
+        params = np.vstack([params] + [rng.uniform(*ranges.bounds)
                                        for _ in chain])
     return NetworkTopology(grid=grid, a=a, b=b, params=params,
                            w_prime=np.zeros(a.size), w=np.zeros(a.size, dtype=int),

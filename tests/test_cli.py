@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from rsnsim import cli
 from rsnsim.cli import main
 from rsnsim.device import default_ranges
 from rsnsim.solver import SimulationTrace
@@ -135,13 +136,43 @@ class TestSimulate:
     def test_bad_value_exits_1(self, tmp_path, topo_file, caplog):
         for key, value in (("amplitude", True), ("amplitude", "8"),
                            ("amplitude", float("nan")), ("dt", False),
-                           ("frequency", float("inf")), ("amplitude", 10 ** 400)):
+                           ("frequency", float("inf")), ("amplitude", 10 ** 400),
+                           ("decay_mode", "bogus"), ("decay_mode", 3)):
             caplog.clear()
             cfg = write_json(tmp_path / "sim.json", {key: value})
             assert main(["simulate", "--topology", topo_file, "--config", cfg,
                          "--out", str(tmp_path / "out")]) == 1, (key, value)
-            assert key in caplog.text
+            assert key in caplog.text and "config error:" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_energy_independent_of_decimation(self, tmp_path, topo_file,
+                                              monkeypatch):
+        simulate, traces = cli.simulate, []
+
+        def recording_simulate(*args, **kwargs):
+            traces.append(simulate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        summaries = {}
+        for d in (1, 10, 5000):
+            cfg = write_json(tmp_path / "sim.json", {"amplitude": 2.0,
+                                                     "duration": 0.1,
+                                                     "decimation": d})
+            out = tmp_path / f"d{d}"
+            assert main(["simulate", "--topology", topo_file, "--config", cfg,
+                         "--out", str(out)]) == 0
+            summaries[d] = json.loads((out / "summary.json").read_text())
+            rows = (out / "trace.csv").read_text().splitlines()
+            n_rows = len(range(0, 100, d))
+            assert len(rows) == 1 + n_rows
+            # only the recorded rows of interface voltages are held
+            assert traces[-1].interface_voltages.shape[0] == n_rows
+        assert summaries[1]["energy_joules"] > 0.0
+        for d in (10, 5000):
+            for key in ("energy_joules", "mean_power_watts", "duration_seconds",
+                        "switching_events"):
+                assert summaries[d][key] == summaries[1][key], (d, key)
 
     def test_missing_topology_exits_2(self, tmp_path):
         assert main(["simulate", "--topology", str(tmp_path / "nope.json"),

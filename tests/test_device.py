@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, ParamRanges,
-                           advance_state_batch, check_params, conductance_batch,
-                           default_ranges, hysteresis_batch,
-                           sample_device_params)
+from rsnsim.device import (_PARAM_KEYS, _SINH_ARG_CAP, DEFAULT_PARAMS,
+                           V_LIMIT_SWITCH, ParamRanges, advance_state_batch,
+                           check_params, conductance_batch, default_ranges,
+                           hysteresis_batch, sample_device_params)
 from rsnsim.errors import ParameterError
 from rsnsim.topology import NetworkTopology
 
@@ -119,6 +119,56 @@ class TestConductance:
                                   p["delta"], p["g_floor"])
         for i in range(40):
             assert batch[i] == conductance(int(ws[i]), float(vs[i]), p)
+
+
+def guarded_conductance(w, V, epsilon, theta, gamma, delta, g_floor):
+    """Reference: the conductance kernel with the |V| <= V_LIMIT_SWITCH
+    guard applied through three np.where calls at every bias."""
+    absV = np.abs(np.asarray(V, dtype=float))
+    small = absV <= V_LIMIT_SWITCH
+    safe = np.where(small, 1.0, absV)
+    off = np.where(small, epsilon * theta,
+                   epsilon * -np.expm1(-theta * safe) / safe)
+    on = np.where(small, gamma * delta,
+                  gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe)
+    return np.maximum(np.where(np.asarray(w) == 1, on, off), g_floor)
+
+
+class TestConductanceGuard:
+    SPECIAL = [0.0, -0.0, V_LIMIT_SWITCH, -V_LIMIT_SWITCH,
+               np.nextafter(V_LIMIT_SWITCH, np.inf),
+               -np.nextafter(V_LIMIT_SWITCH, np.inf), 1.5e-8, 1.0, -3.0, 350.0,
+               1e6, np.nan, np.inf, -np.inf]
+
+    def check(self, w, V, p):
+        args = [p[:, _PARAM_KEYS.index(k)]
+                for k in ("epsilon", "theta", "gamma", "delta", "g_floor")]
+        with np.errstate(invalid="ignore"):
+            got = conductance_batch(w, V, *args)
+            want = guarded_conductance(w, V, *args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_bit_equal_to_guarded_formula(self, rng):
+        r = default_ranges()
+        n = 400
+        p = sample_device_params(r, rng, n)
+        w = rng.integers(0, 2, n)
+        # every special bias alone (the unguarded path where |V| > limit),
+        # then mixed with ordinary biases (the guarded path)
+        for v in self.SPECIAL:
+            self.check(w[:1], np.array([v]), p[:1])
+            self.check(w[:3], np.array([v, 0.5, -2.0]), p[:3])
+        self.check(w, rng.choice(self.SPECIAL, n), p)
+        self.check(w, rng.uniform(-8.0, 8.0, n), p)
+        self.check(w, rng.uniform(1e-8, 2e-8, n) * rng.choice([-1, 1], n), p)
+        self.check(w[:0], np.zeros(0), p[:0])
+
+    def test_scalar_bias(self):
+        p = np.array([list(DEFAULT_PARAMS.values())])
+        for v in self.SPECIAL:
+            for w in (0, 1):
+                self.check(w, v, p)
 
 
 class TestInternalState:
@@ -232,6 +282,62 @@ class TestHysteresis:
             w = new_w
         assert len(ups) == 1 and len(downs) == 1
         assert ups[0] >= p["th_high"] and downs[0] <= p["th_low"]
+
+
+def nested_where_hysteresis(w_prime, w, th_low, th_high):
+    """Reference: the hysteresis kernel as two nested np.where calls."""
+    w_arr = np.asarray(w)
+    return np.where(w_prime >= th_high, 1,
+                    np.where(w_prime <= th_low, 0, w_arr)).astype(w_arr.dtype)
+
+
+class TestHysteresisReference:
+    def test_equals_nested_where(self, rng):
+        n = 500
+        low = rng.uniform(0.1, 0.45, n)
+        high = low + rng.uniform(0.01, 0.4, n)
+        w_prime = np.concatenate([rng.uniform(0.0, 1.0, n - 100), low[:40],
+                                  high[:40], [np.nan] * 20])
+        for dtype in (np.int64, np.int8, np.uint8, bool, float):
+            w = rng.integers(0, 2, n).astype(dtype)
+            got = hysteresis_batch(w_prime, w, low, high)
+            want = nested_where_hysteresis(w_prime, w, low, high)
+            assert got.dtype == want.dtype == w.dtype
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(got, w)
+
+    def test_list_inputs(self):
+        w_prime = [0.1, 0.5, 0.9, 0.4, 0.6, 0.5]
+        w = [1, 1, 0, 1, 0, 0]
+        low, high = np.full(6, 0.4), np.full(6, 0.6)
+        got = hysteresis_batch(w_prime, w, low, high)
+        want = nested_where_hysteresis(np.array(w_prime), w, low, high)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tolist() == [0, 1, 1, 0, 1, 0]
+
+
+class TestSamplingReference:
+    @pytest.mark.parametrize("r", [
+        default_ranges(),
+        ranges(tau=(0.5, 1.5), epsilon=(1e-6, 1e-3), th_low=(0.1, 0.3),
+               th_high=(0.7, 0.95)),
+        ranges(),  # every range zero-width
+    ], ids=["default", "custom", "zero-width"])
+    def test_equals_rng_uniform(self, r):
+        for seed in range(20):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(10):
+                row = sample_device_params(r, ours)
+                assert row.shape == (10,)
+                assert np.array_equal(row, ref.uniform(*r.bounds))
+                # other draws in between, as generation makes them
+                assert ours.integers(49) == ref.integers(49)
+                assert ours.beta(2.0, 5.0) == ref.beta(2.0, 5.0)
+                rows = sample_device_params(r, ours, k)
+                assert rows.shape == (k, 10)
+                want = [ref.uniform(*r.bounds) for _ in range(k)]
+                assert np.array_equal(rows, np.reshape(want, (k, 10)))
+            assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestSampling:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -215,6 +219,17 @@ class TestRunSweep:
         a = run_sweep(cfg, workers=1)
         b = run_sweep(cfg, workers=2)
         assert a == b
+
+    def test_one_worker_loads_no_process_pool(self):
+        # multiprocessing is imported only when a sweep starts workers
+        code = ("import sys, rsnsim.cli, rsnsim.harness as h; "
+                "h.run_sweep(h.SweepConfig(alphas=(1,), betas=(1,), xis=(2,), "
+                "amplitudes=(1,), trials=1, duration=0.002)); "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "False"
 
     def test_failed_cells_recorded_not_raised(self, monkeypatch):
         cfg = small_config()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rsnsim.analysis import energy
 from rsnsim.device import default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
 from rsnsim import solver
@@ -180,6 +181,24 @@ class TestSimulate:
         assert trace.n_steps == 20
         assert trace.dt == pytest.approx(5e-3)
 
+    def test_decimated_rows_and_energy(self, rng):
+        g = build_grid(4, 1)
+        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
+                             int(g.interface_indices[-1]), default_ranges(),
+                             rng, seed=8)
+        full = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.1)
+        assert full.every_step is None
+        for d in (7, 5000):
+            trace = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.1,
+                             decimation=d)
+            for name in ("times", "interface_voltages", "source_current",
+                         "applied_voltage"):
+                assert np.array_equal(getattr(trace, name),
+                                      getattr(full, name)[::d]), name
+            assert trace.switching_events == full.switching_events
+            # the energy covers every step, not only the rows
+            assert energy(trace) == energy(full)
+
     def test_argument_validation(self):
         t = linear_topology([(0, 15, 1.0)])
         with pytest.raises(ParameterError):
@@ -192,6 +211,13 @@ class TestSimulate:
             simulate(t, lambda t: 1.0, dt=1e-3, duration=float("inf"))
         with pytest.raises(DataError):
             simulate(t, lambda s: float("inf"), dt=1e-3, duration=0.01)
+        # decay_mode is checked before assembly, which would reject this
+        # topology (no input->ground path)
+        island = linear_topology([(1, 2, 1.0)])
+        for mode in ("bogus", None, 3):
+            with pytest.raises(ParameterError, match="decay_mode"):
+                simulate(island, lambda t: 1.0, dt=1e-3, duration=0.01,
+                         decay_mode=mode)
 
     def test_sequence_gives_trace_batch(self):
         t = linear_topology([(0, 15, 1.0)])
@@ -247,6 +273,77 @@ class TestTraceCsv:
         assert back.n_interface == 16
         assert np.abs(back.applied_voltage - trace.applied_voltage).max() < 1e-8
         assert np.abs(back.interface_voltages - trace.interface_voltages).max() < 1e-8
+
+
+def genfromtxt_read(path):
+    """Reference reader: the structured genfromtxt parse of a trace CSV."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    if data.ndim == 0:
+        data = data.reshape(1)
+    nodes = [n for n in data.dtype.names if n.startswith("node_")]
+    iface = np.column_stack([data[c] for c in nodes]) if nodes else \
+        np.zeros((data.size, 0))
+    return data["t"], data["v_in"], data["i_src"], iface
+
+
+class TestReadCsv:
+    def check_as_genfromtxt(self, path):
+        back = SimulationTrace.read_csv(path)
+        t, v_in, i_src, iface = genfromtxt_read(path)
+        for got, want in ((back.times, t), (back.applied_voltage, v_in),
+                          (back.source_current, i_src),
+                          (back.interface_voltages, iface)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # entropy's sums depend on the memory layout as well as the values
+        assert back.interface_voltages.flags.c_contiguous
+        assert back.dt == (float(t[1] - t[0]) if t.size > 1 else 0.0)
+        assert back.switching_events == 0
+        return back
+
+    def test_simulated_trace_bit_equal(self, rng, tmp_path):
+        g = build_grid(4, 1)
+        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
+                             int(g.interface_indices[-1]), default_ranges(),
+                             rng, seed=8)
+        path = tmp_path / "trace.csv"
+        path.write_text(simulate(t, sine_waveform(8.0), dt=1e-3,
+                                 duration=0.3).to_csv())
+        back = self.check_as_genfromtxt(path)
+        assert back.n_steps == 300 and back.n_interface == 16
+
+    def test_short_traces(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        header = "t,v_in,i_src,node_1,node_2\n"
+        path.write_text(header)
+        back = self.check_as_genfromtxt(path)
+        assert back.interface_voltages.shape == (0, 2)
+        path.write_text(header + "0,0.5,-1e-3,0.25,0.125\n")
+        back = self.check_as_genfromtxt(path)
+        assert back.interface_voltages.tolist() == [[0.25, 0.125]]
+        path.write_text("t,v_in,i_src\n0,1,2\n1e-3,3,4\n")
+        assert self.check_as_genfromtxt(path).interface_voltages.shape == (2, 0)
+
+    @pytest.mark.parametrize("body", [
+        "0,1,2,3\n1,2,3\n",        # ragged
+        "0,1,2,3\n1,2,3,4,5\n",    # ragged
+        "0,1,2,3,4\n",             # more values than names
+        "0,1,x,3\n",               # not a number
+        "0,1,,3\n",                # missing value
+    ])
+    def test_malformed_raises_data_error(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,v_in,i_src,node_1\n" + body)
+        with pytest.raises(DataError):
+            SimulationTrace.read_csv(path)
+
+    def test_missing_columns_and_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,v,node_1\n0,1,2\n")
+        with pytest.raises(DataError, match="lacks"):
+            SimulationTrace.read_csv(path)
+        with pytest.raises(OSError):
+            SimulationTrace.read_csv(tmp_path / "nope.csv")
 
 
 def loop_csv(trace):

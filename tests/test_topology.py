@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -256,6 +257,40 @@ class TestGenerationReference:
             tracemalloc.stop()
         assert t.n_augmented == augmented
         assert peak < 2 * 2 ** 20
+
+
+class TestJson:
+    def check(self, t):
+        text = t.to_json()
+        assert text == json.dumps(t.to_dict(), indent=1)
+        back = NetworkTopology.from_json(text)
+        for name in ("a", "b", "params", "w_prime", "w"):
+            assert np.array_equal(getattr(back, name), getattr(t, name)), name
+
+    @pytest.mark.parametrize("dim,s", LATTICES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_json_dumps(self, dim, s, seed):
+        # short wires: most of these topologies carry augmented edges
+        g = build_grid(dim, s)
+        inp, gnd = _iface_corners(g)
+        rng = np.random.default_rng(seed)
+        t = generate_network(g, BetaShape(1, 10), 1, inp, gnd, default_ranges(),
+                             rng, seed=seed)
+        t.w_prime = rng.uniform(0.0, 1.0, t.edge_count)
+        t.w_prime[:3] = (0.0, 1.0, 5e-324)
+        t.w = rng.integers(0, 2, t.edge_count)
+        self.check(t)
+
+    def test_extreme_values(self):
+        t = linear_topology([(0, 15, 1.0), (3, 7, 2e-300), (1, 2, 0.1 + 0.2)])
+        t.params[:, 0] = (1e300, 1e-320, 1.0 / 3.0)
+        self.check(t)
+
+    def test_no_edges(self):
+        t = linear_topology([])
+        t.params = np.zeros((0, 10))
+        assert '"edges": []' in t.to_json()
+        self.check(t)
 
 
 class TestEnsureConnected:
