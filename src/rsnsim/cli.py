@@ -55,17 +55,12 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def records_csv(records: Sequence[SweepRecord]) -> str:
-    lines = [",".join(SweepRecord.CSV_FIELDS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, k)) for k in SweepRecord.CSV_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def aggregate_csv(rows: Sequence[dict]) -> str:
-    lines = [",".join(AGGREGATE_FIELDS)]
+def records_csv(rows: Sequence, fields: Sequence[str] = SweepRecord.CSV_FIELDS) -> str:
+    """CSV text of SweepRecords, or of dicts such as aggregate's rows."""
+    lines = [",".join(fields)]
     for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in AGGREGATE_FIELDS))
+        row = row if isinstance(row, dict) else vars(row)
+        lines.append(",".join(_fmt(row[k]) for k in fields))
     return "\n".join(lines) + "\n"
 
 
@@ -255,13 +250,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_like(args, hierarchy: bool) -> int:
+def cmd_sweep(args) -> int:
+    """The sweep and hierarchy commands; ``args.hierarchy`` tells them apart."""
     doc = cfgmod.load_config_file(args.config)
     if args.seed is not None:
         doc["base_seed"] = args.seed
     if args.no_center:
         doc["center"] = False
-    if hierarchy:
+    if args.hierarchy:
         cfg, hier = cfgmod.parse_hierarchy(doc)
     else:
         cfg, hier = cfgmod.parse_sweep(doc), None
@@ -270,16 +266,13 @@ def _sweep_like(args, hierarchy: bool) -> int:
     agg = aggregate(records)
     os.makedirs(args.out, exist_ok=True)
     write_text_atomic(os.path.join(args.out, "records.csv"), records_csv(records))
-    write_text_atomic(os.path.join(args.out, "aggregate.csv"), aggregate_csv(agg))
+    write_text_atomic(os.path.join(args.out, "aggregate.csv"),
+                      records_csv(agg, AGGREGATE_FIELDS))
 
-    cfg_doc = cfgmod.sweep_config_to_dict(cfg)
-    if hier is not None:
-        cfg_doc.update({"k": hier.k, "readout_a": hier.readout_a,
-                        "readout_b": hier.readout_b})
+    cfg_doc = cfgmod.sweep_config_to_dict(cfg, hier)
     seeds = [r.seed for r in records]
     write_text_atomic(os.path.join(args.out, "manifest.json"),
-                      _manifest("hierarchy" if hierarchy else "sweep",
-                                cfg_doc, seeds, args.workers))
+                      _manifest(args.command, cfg_doc, seeds, args.workers))
     if args.heatmap:
         _write_heatmaps(cfg, agg, args.out)
 
@@ -290,14 +283,6 @@ def _sweep_like(args, hierarchy: bool) -> int:
         log.error("every cell failed")
         return 3
     return 0
-
-
-def cmd_sweep(args) -> int:
-    return _sweep_like(args, hierarchy=False)
-
-
-def cmd_hierarchy(args) -> int:
-    return _sweep_like(args, hierarchy=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run the (alpha, beta, xi, v) grid")
     common(sp, workers=True)
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_sweep, hierarchy=False)
 
     sp = sub.add_parser("hierarchy", help="sweep with K independent networks per cell")
     common(sp, workers=True)
-    sp.set_defaults(func=cmd_hierarchy)
+    sp.set_defaults(func=cmd_sweep, hierarchy=True)
     return p
 
 

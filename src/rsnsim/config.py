@@ -7,6 +7,7 @@ defaults.  Command-line flags override file values.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from functools import partial
 from typing import Optional
 
@@ -19,10 +20,8 @@ GENERATE_KEYS = {"interface_dim", "subdivision", "alpha", "beta", "xi",
                  "edge_count", "ranges", "seed", "input_node", "ground_node"}
 SIMULATE_KEYS = {"amplitude", "frequency", "dt", "duration", "decay_mode",
                  "decimation"}
-SWEEP_KEYS = {"alphas", "betas", "xis", "amplitudes", "trials", "base_seed",
-              "interface_dim", "subdivision", "ranges", "dt", "duration",
-              "frequency", "center", "decay_mode", "edge_count"}
-HIERARCHY_KEYS = SWEEP_KEYS | {"k", "readout_a", "readout_b"}
+SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
+HIERARCHY_KEYS = SWEEP_KEYS | {f.name for f in fields(HierarchyConfig)}
 
 
 def load_config_file(path: Optional[str]) -> dict:
@@ -127,13 +126,10 @@ def parse_hierarchy(doc: dict) -> tuple:
                                     if k not in SWEEP_KEYS})
 
 
-def sweep_config_to_dict(cfg: SweepConfig) -> dict:
-    return {
-        "alphas": list(cfg.alphas), "betas": list(cfg.betas),
-        "xis": list(cfg.xis), "amplitudes": list(cfg.amplitudes),
-        "trials": cfg.trials, "base_seed": cfg.base_seed,
-        "interface_dim": cfg.interface_dim, "subdivision": cfg.subdivision,
-        "ranges": cfg.ranges.to_dict(), "dt": cfg.dt, "duration": cfg.duration,
-        "frequency": cfg.frequency, "center": cfg.center,
-        "decay_mode": cfg.decay_mode, "edge_count": cfg.edge_count,
-    }
+def sweep_config_to_dict(cfg: SweepConfig,
+                         hier: Optional[HierarchyConfig] = None) -> dict:
+    """A sweep's config document, or a hierarchy's given ``hier``."""
+    doc = {f.name: getattr(c, f.name) for c in (cfg, hier) if c is not None
+           for f in fields(c)}
+    doc["ranges"] = doc["ranges"].to_dict()
+    return doc

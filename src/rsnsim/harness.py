@@ -193,17 +193,12 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
         except Exception as exc:
             failure = (k, exc)
             break
-    while topos:
-        try:
+    if topos:
+        try:  # a batch raises its lowest-index failing member's error
             traces = simulate(topos, sine_waveform(v, cfg.frequency), cfg.dt,
                               cfg.duration, decay_mode=cfg.decay_mode)
-            break
         except Exception as exc:
-            # A member's trace does not depend on its batch, so stepping
-            # the members before the failed one again finds any of them
-            # that would fail later in time.
             failure = (getattr(exc, "member", 0), exc)
-            topos = topos[:failure[0]]
     if failure:
         k, exc = failure
         raise RsnError(f"hierarchy member {k} (seed {seeds[k]}) failed: "

@@ -60,6 +60,11 @@ def _stamps(t: NetworkTopology):
     stamp its flat index into the dim x dim matrix, its sign and its edge.
     """
     n = t.grid.n_nodes
+    # a negative index would wrap, in a batch into another member's nodes
+    for name, nodes in (("a", t.a), ("b", t.b), ("input_node", t.input_node),
+                        ("ground_node", t.ground_node)):
+        if np.any((nodes < 0) | (nodes >= n)):
+            raise ParameterError(f"{name} holds a node index outside 0..{n - 1}")
     if t.input_node == t.ground_node:
         raise ParameterError("input and ground nodes must differ")
     a, b = t.a, t.b
@@ -315,8 +320,14 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     returns a TraceBatch of the members' traces, each bit-identical to the
     member's own run: the members share each device-kernel call and the
     assembly bincount, which act entry by entry, but every member solves
-    its own system.  An exception from member m's set-up or solve carries
-    ``member = m``; one raised for all members at once carries none.
+    its own system.
+
+    A batch raises its lowest-index failing member's error, the one that
+    member raises in its solo run, with ``member = m`` (and a solve
+    error's ``step``).  Set-up errors raise before step 0.  When member
+    m's solve fails, members m and above stop being solved and the lower
+    members step on, until member 0 fails or the run ends.  An error
+    raised for all members at once carries no ``member``.
     """
     single = isinstance(topologies, NetworkTopology)
     members = [topologies] if single else list(topologies)
@@ -337,8 +348,8 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     # The members' node voltages are stacked: member m's are voltages[m*n:(m+1)*n].
     node_slices = [slice(m * n, (m + 1) * n) for m in range(n_members)]
     iface = members[0].grid.interface_indices + n * np.arange(n_members)[:, None]
-    voltages = np.empty(n_members * n)
-    i_src = np.empty(n_members)
+    voltages = np.zeros(n_members * n)
+    i_src = np.zeros(n_members)
     w_prime = np.concatenate([t.w_prime for t in members])
     w = np.concatenate([t.w for t in members])
     branch_v = np.zeros(w.size)
@@ -352,19 +363,25 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     v_in_all = np.empty(n_steps)
     i_src_all = np.empty((n_members, n_steps))
 
-    rec = 0
+    # Members 0..live-1 are solved; a failing member and those above it
+    # drop out, their voltages left as they were.
+    rec, live, failure = 0, n_members, None
     for k in range(n_steps):
         t_k = k * dt
         v_in = float(waveform(t_k))
         if not math.isfinite(v_in):
             raise DataError(f"waveform returned non-finite value at t={t_k!r}")
 
-        for m, sys in enumerate(asm.build(asm.conductances(w, branch_v), v_in)):
+        systems = asm.build(asm.conductances(w, branch_v), v_in)
+        for m in range(live):
             try:
-                voltages[node_slices[m]], i_src[m] = solve_step(sys, step=k)
+                voltages[node_slices[m]], i_src[m] = solve_step(systems[m], step=k)
             except Exception as exc:
                 exc.member = m
-                raise
+                live, failure = m, exc
+                break
+        if not live:
+            break
         branch_v = voltages[asm.a] - voltages[asm.b]
 
         v_in_all[k] = v_in
@@ -379,6 +396,8 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
         new_w = dev.hysteresis_batch(w_prime, w, p["th_low"], p["th_high"])
         flips += new_w != w
         w = new_w
+    if failure is not None:
+        raise failure
 
     traces = TraceBatch(
         SimulationTrace(times=times, dt=dt * decimation,

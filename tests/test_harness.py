@@ -110,27 +110,30 @@ class TestRunHierarchy:
         assert "member 2 " in str(exc.value) and "member blew up" in str(exc.value)
 
     def test_lowest_failing_member_is_named(self, monkeypatch):
-        # Member 3 fails first in time; member 1 fails only later, so it
-        # shows up once the members before 3 are stepped again.
-        real = harness.simulate
-        batches = []
+        # Member 3 fails at step 2, before member 1 fails at step 5: the
+        # cell names member 1, with its own message and step, from one
+        # lockstep call.
+        real_solve, real_simulate = solver.solve_step, harness.simulate
+        members, fail_at, entered = {}, {1: 5, 3: 2}, []
 
-        def fake(topos, *a, **kw):
-            batches.append(len(topos))
-            for m in (3, 1):
-                if len(topos) > m:
-                    exc = NumericalError(f"member {m} failed")
-                    exc.member = m
-                    raise exc
-            return real(topos, *a, **kw)
+        def flaky(sys, step=None):
+            m = members.setdefault(id(sys), len(members))  # step 0 is in order
+            if fail_at.get(m) == step:
+                raise NumericalError(f"member {m} failed", step=step)
+            return real_solve(sys, step=step)
 
-        monkeypatch.setattr(harness, "simulate", fake)
+        def once(topos, *a, **kw):
+            entered.append(len(topos))
+            return real_simulate(topos, *a, **kw)
+
+        monkeypatch.setattr(solver, "solve_step", flaky)
+        monkeypatch.setattr(harness, "simulate", once)
         with pytest.raises(RsnError) as exc:
             run_hierarchy(small_config(), HierarchyConfig(k=5), 1.0, 2.0, 2,
                           2.0, seed=31)
         assert str(exc.value) == (f"hierarchy member 1 (seed {member_seed(31, 1)}) "
-                                  f"failed: member 1 failed")
-        assert batches == [5, 3, 1]
+                                  f"failed: member 1 failed (step 5)")
+        assert entered == [5]
 
     def test_generation_failure_after_good_members(self, monkeypatch):
         real = harness._make_topology
@@ -148,14 +151,24 @@ class TestRunHierarchy:
         assert str(exc.value) == (f"hierarchy member 2 (seed {bad_seed}) "
                                   f"failed: no network")
 
-    def test_failing_cell_record(self):
+    def test_failing_cell_record(self, monkeypatch):
         # Trial 1's member 12 fails its residual check at step 52 and
         # members 0-11 run through, so the record names member 12, the
-        # lowest-index member that fails, with its own error.
+        # lowest-index member that fails, with its own error.  No member
+        # is stepped twice: restarting the batch below each failure, as
+        # an earlier design did, took 2,525 solves.
+        real, solves = solver.solve_step, []
+
+        def count(*a, **kw):
+            solves.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(solver, "solve_step", count)
         cfg = SweepConfig(alphas=(1.0,), betas=(1.0,), xis=(8,),
                           amplitudes=(8.0,), trials=2, base_seed=0,
                           duration=0.06)
         good, bad = run_sweep(cfg, hierarchy=HierarchyConfig(k=16))
+        assert len(solves) == 1889
         assert good.error == ""
         assert (good.seed, good.switching_events, good.edge_count) == \
             (4088532484, 3179, 6272)

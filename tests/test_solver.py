@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -253,6 +254,61 @@ class TestSimulate:
         with pytest.raises(NumericalError) as exc:
             simulate([good] * 3, lambda t: 1.0, dt=1e-3, duration=0.01)
         assert (exc.value.member, exc.value.step) == (1, 4)
+
+    def test_lowest_failing_member_raises(self, monkeypatch):
+        # t3 fails at step 1 and drops out; t1 and t2 step on and would
+        # both fail at step 3, where t1's failure ends the member loop;
+        # t0 is solved at every one of the 10 steps
+        good = linear_topology([(0, 15, 1.0)])
+        real = solver.solve_step
+        members, solved = {}, []
+        fail_at = {1: 3, 2: 3, 3: 1}
+
+        def flaky(sys, step=None):
+            m = members.setdefault(id(sys), len(members))  # step 0 is in order
+            if fail_at.get(m) == step:
+                raise NumericalError(f"member {m} failed", step=step)
+            solved.append((m, step))
+            return real(sys, step=step)
+
+        monkeypatch.setattr(solver, "solve_step", flaky)
+        with pytest.raises(NumericalError) as exc:
+            simulate([good] * 4, lambda t: 1.0, dt=1e-3, duration=0.01)
+        assert (exc.value.member, exc.value.step) == (1, 3)
+        assert str(exc.value) == "member 1 failed (step 3)"
+        assert [k for m, k in solved if m == 0] == list(range(10))
+        assert [k for m, k in solved if m in (1, 2)] == [0, 0, 1, 1, 2, 2]
+        assert [k for m, k in solved if m == 3] == [0]
+
+    def test_member_zero_failure_ends_the_run(self, monkeypatch):
+        good = linear_topology([(0, 15, 1.0)])
+        real = solver.solve_step
+        steps, times = [], []
+
+        def flaky(sys, step=None):
+            steps.append(step)
+            if step == 2:
+                raise NumericalError("boom", step=step)
+            return real(sys, step=step)
+
+        monkeypatch.setattr(solver, "solve_step", flaky)
+        with pytest.raises(NumericalError) as exc:
+            simulate([good] * 2, lambda t: times.append(t) or 1.0, dt=1e-3,
+                     duration=0.01)
+        assert (exc.value.member, exc.value.step) == (0, 2)
+        assert steps == [0, 0, 1, 1, 2] and len(times) == 3  # not 10 steps
+
+    @pytest.mark.parametrize("field", ["a", "b", "input_node", "ground_node"])
+    @pytest.mark.parametrize("node", [-1, 16])
+    def test_node_index_outside_grid_rejected(self, field, node):
+        good = linear_topology([(0, 15, 1.0)])
+        value = np.array([node]) if field in ("a", "b") else node
+        bad = dataclasses.replace(good, **{field: value})
+        with pytest.raises(ParameterError, match=f"^{field} holds"):
+            simulate(bad, lambda t: 1.0, dt=1e-3, duration=0.01)
+        with pytest.raises(ParameterError, match=f"^{field} holds") as exc:
+            simulate([good, bad], lambda t: 1.0, dt=1e-3, duration=0.01)
+        assert exc.value.member == 1
 
     def test_numerical_error_carries_step_index(self):
         err = NumericalError("boom", step=17)
