@@ -7,8 +7,8 @@ from .analysis import (EnergyResult, EntropyResult, differential_readout,
 from .device import (DEFAULT_PARAMS, ParamRanges, advance_state_batch,
                      check_params, conductance_batch, default_ranges,
                      hysteresis_batch, sample_device_params)
-from .errors import (ConfigError, DataError, GenerationError, NumericalError,
-                     ParameterError, RsnError)
+from .errors import (ConfigError, DataError, NumericalError, ParameterError,
+                     RsnError)
 from .harness import (HierarchyConfig, SweepConfig, SweepRecord, aggregate,
                       derive_seed, run_hierarchy, run_single, run_sweep)
 from .solver import (LinearSystem, SimulationTrace, TraceBatch, assemble,
@@ -20,7 +20,7 @@ from .topology import (BetaShape, Grid, NetworkTopology, beta_sample,
 __all__ = [
     "__version__",
     "BetaShape", "ConfigError", "DataError", "DEFAULT_PARAMS",
-    "EnergyResult", "EntropyResult", "GenerationError", "Grid",
+    "EnergyResult", "EntropyResult", "Grid",
     "HierarchyConfig", "LinearSystem", "NetworkTopology", "NumericalError",
     "ParamRanges", "ParameterError", "RsnError", "SimulationTrace",
     "SweepConfig", "SweepRecord", "TraceBatch",

@@ -14,10 +14,6 @@ class ParameterError(RsnError, ValueError):
     """Invalid device/model parameter or argument."""
 
 
-class GenerationError(RsnError, RuntimeError):
-    """Network generation failed after bounded retries."""
-
-
 class NumericalError(RsnError, RuntimeError):
     """Linear solve failed or violated its residual contract.
 

@@ -59,17 +59,8 @@ def _stamps(t: NetworkTopology):
     (-1 for ground and floating islands), the system size, and for every
     stamp its flat index into the dim x dim matrix, its sign and its edge.
     """
-    n = t.grid.n_nodes
-    # a negative index would wrap, in a batch into another member's nodes
-    for name, nodes in (("a", t.a), ("b", t.b), ("input_node", t.input_node),
-                        ("ground_node", t.ground_node)):
-        if np.any((nodes < 0) | (nodes >= n)):
-            raise ParameterError(f"{name} holds a node index outside 0..{n - 1}")
-    if t.input_node == t.ground_node:
-        raise ParameterError("input and ground nodes must differ")
-    a, b = t.a, t.b
-    if np.any(a == b):
-        raise ParameterError("topology contains a self-loop")
+    t.check()
+    n, a, b = t.grid.n_nodes, t.a, t.b
 
     # Only the component containing ground carries current; nodes of
     # floating islands are pinned at 0 V (exact: no source reaches
@@ -184,22 +175,16 @@ class _Assembler:
         return self._systems
 
 
-def assemble(t: NetworkTopology, branch_voltages: np.ndarray, v_in: float) -> LinearSystem:
-    """Assemble the nodal system for one step.
-
-    ``branch_voltages`` holds the previous step's per-edge voltages (zeros
-    on the first step); conductances are evaluated there and floored.
-    ``simulate`` does not call this; it is the entry point of the
-    single-step oracle tests, which solve the system it returns.
+def assemble(t: NetworkTopology, v_in: float) -> LinearSystem:
+    """Assemble the nodal system of a step at zero bias, as on the first
+    step: conductances are evaluated at 0 V and floored.  ``simulate`` does
+    not call this; it is the entry point of the single-step oracle tests,
+    which solve the system it returns.
     """
     asm = _Assembler([t])
-    branch_voltages = np.asarray(branch_voltages, dtype=float)
-    if branch_voltages.shape != (t.edge_count,):
-        raise DataError(f"expected {t.edge_count} branch voltages, "
-                        f"got shape {branch_voltages.shape}")
     if not np.isfinite(v_in):
         raise DataError(f"source voltage must be finite, got {v_in!r}")
-    return asm.build(asm.conductances(t.w, branch_voltages), v_in)[0]
+    return asm.build(asm.conductances(t.w, np.zeros(t.edge_count)), v_in)[0]
 
 
 def solve_step(sys: LinearSystem, step: Optional[int] = None):

@@ -23,8 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import (_PARAM_KEYS, ParamRanges, _ordered, check_params,
                      default_ranges, sample_device_params)
-from .errors import (DataError, GenerationError, ParameterError, _finite,
-                     _integral)
+from .errors import DataError, ParameterError, _integral
 
 log = logging.getLogger(__name__)
 
@@ -204,46 +203,65 @@ class NetworkTopology:
         return head + (',\n "edges": [\n' + edges + "\n ]\n}" if edges
                        else ',\n "edges": []\n}')
 
+    def check(self) -> None:
+        """Raise ParameterError unless ``simulate`` can step this network:
+        ``a``, ``b``, ``w_prime``, ``w`` and a ``params`` row of 10 per edge,
+        integer nodes in 0..n-1, input not ground, no self-loop, parameters
+        that pass ``check_params``, ``0 <= w_prime <= 1`` and ``w`` 0 or 1."""
+        e, n = self.edge_count, self.grid.n_nodes
+        for name, shape in (("a", (e,)), ("b", (e,)), ("w_prime", (e,)),
+                            ("w", (e,)), ("params", (e, len(_PARAM_KEYS)))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ParameterError(f"{name} must have shape {shape}")
+        # a negative index would wrap, in a batch into another member's nodes
+        for name in ("a", "b", "input_node", "ground_node"):
+            nodes = np.asarray(getattr(self, name))
+            if nodes.dtype.kind not in "iu" or np.any((nodes < 0) | (nodes >= n)):
+                raise ParameterError(f"{name} holds a node index that is not an "
+                                     f"integer in 0..{n - 1}")
+        if self.input_node == self.ground_node:
+            raise ParameterError("input and ground nodes must differ")
+        if np.any(self.a == self.b):
+            raise ParameterError("topology contains a self-loop")
+        check_params(self.params)
+        if not np.all((self.w_prime >= 0.0) & (self.w_prime <= 1.0)):
+            raise ParameterError("w_prime must lie in [0, 1]")
+        if not np.all((self.w == 0) | (self.w == 1)):
+            raise ParameterError("w must be 0 or 1")
+
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
-        """Load and check a topology document.
-
-        Node indices outside the grid, and node indices, grid sizes,
-        ``seed`` or ``n_augmented`` that are booleans or not integral,
-        raise DataError; bad device parameters or states raise
-        ParameterError, and so does a parameter or ``w_prime`` that is not a
-        finite number (a boolean or a string) or a ``w`` that is not
-        integral.
-        """
+        """Load a topology document and ``check`` it.  Only types are checked
+        here: an integer field that is a boolean or not integral raises
+        DataError (ParameterError for ``w``), and a device parameter or
+        ``w_prime`` that is not a number raises ParameterError."""
         grid = Grid.from_dict(d["grid"])
         edges = d["edges"]
-        params = np.array([[_finite(x, k, ParameterError) for k, x in
-                            zip(_PARAM_KEYS, _ordered(e["params"], "device parameter"))]
-                           for e in edges]).reshape(-1, len(_PARAM_KEYS))
-        check_params(params)
-        t = cls(grid=grid,
-                a=np.array([_integral(e["a"], "a", DataError) for e in edges],
-                           dtype=int),
-                b=np.array([_integral(e["b"], "b", DataError) for e in edges],
-                           dtype=int),
-                params=params,
-                w_prime=np.array([_finite(e["state"]["w_prime"], "w_prime",
-                                          ParameterError) for e in edges]),
-                w=np.array([_integral(e["state"]["w"], "w", ParameterError)
-                            for e in edges], dtype=int),
+        keys = _PARAM_KEYS + ("w_prime",)
+        values = [x for e in edges for x in
+                  _ordered(e["params"], "device parameter") + [e["state"]["w_prime"]]]
+        # numbers, not booleans, tested once per distinct type
+        bad = {t for t in set(map(type, values)) if t is bool or
+               not issubclass(t, (int, float, np.integer, np.floating))}
+        if bad:
+            i = next(i for i, x in enumerate(values) if type(x) in bad)
+            raise ParameterError(f"'{keys[i % len(keys)]}' must be a number, "
+                                 f"got {values[i]!r}")
+        try:
+            values = np.array(values, dtype=float).reshape(-1, len(keys))
+        except OverflowError:
+            raise ParameterError("parameter or w_prime beyond the float range") from None
+        ints = [(_integral(e["a"], "a", DataError), _integral(e["b"], "b", DataError),
+                 _integral(e["state"]["w"], "w", ParameterError)) for e in edges]
+        a, b, w = np.array(ints, dtype=int).reshape(-1, 3).T
+        t = cls(grid=grid, a=a, b=b, params=values[:, :-1],
+                w_prime=values[:, -1], w=w,
                 input_node=_integral(d["input_node"], "input_node", DataError),
                 ground_node=_integral(d["ground_node"], "ground_node", DataError),
                 seed=_integral(d["seed"], "seed", DataError),
                 n_augmented=_integral(d.get("n_augmented", 0), "n_augmented",
                                       DataError))
-        n = grid.n_nodes
-        nodes = np.concatenate([t.a, t.b, [t.input_node, t.ground_node]])
-        if np.any((nodes < 0) | (nodes >= n)):
-            raise DataError(f"node index outside 0..{n - 1}")
-        if not np.all((t.w_prime >= 0.0) & (t.w_prime <= 1.0)):
-            raise ParameterError("w_prime must lie in [0, 1]")
-        if not np.all((t.w == 0) | (t.w == 1)):
-            raise ParameterError("w must be 0 or 1")
+        t.check()
         return t
 
     @classmethod
@@ -369,7 +387,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
 
     n_edges = grid.n_nodes * xi if edge_count is None else int(edge_count)
     if n_edges < 1:
-        raise GenerationError(f"requested edge count {n_edges} < 1")
+        raise ParameterError(f"requested edge count {n_edges} < 1")
 
     side = grid.side
     rows = _distance_rows(side)

@@ -129,7 +129,7 @@ def test_criterion_03_circuit_oracle_equivalence():
             assert t.grid.n_nodes <= 12
             oracle_edges = stamped_edges(t)
             v_in = float(rng.uniform(0.5, 8.0))
-            sys = assemble(t, np.zeros(t.edge_count), v_in)
+            sys = assemble(t, v_in)
             v, i_src = solve_step(sys)
             res = np.abs(sys.matrix @ np.linalg.solve(sys.matrix, sys.rhs)
                          - sys.rhs).max()

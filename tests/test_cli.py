@@ -202,7 +202,9 @@ class TestSimulate:
                      lambda d: d["edges"][3]["params"].update(epsilon=True),
                      lambda d: d["edges"][3]["params"].update(tau="0.2"),
                      lambda d: d["edges"][3]["state"].update(w_prime=True),
-                     lambda d: d["edges"][3]["state"].update(w_prime="0.5")):
+                     lambda d: d["edges"][3]["state"].update(w_prime="0.5"),
+                     lambda d: d["edges"][3].update(b=d["edges"][3]["a"]),
+                     lambda d: d.update(ground_node=d["input_node"])):
             doc = json.loads(open(topo_file).read())
             edit(doc)
             write_json(bad, doc)

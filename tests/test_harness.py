@@ -8,7 +8,8 @@ import pytest
 from rsnsim import harness, solver
 from rsnsim.analysis import differential_readout, energy, entropy
 from rsnsim.device import _PARAM_KEYS, ParamRanges, default_ranges
-from rsnsim.errors import ConfigError, GenerationError, NumericalError, RsnError
+from rsnsim.errors import (ConfigError, NumericalError, ParameterError,
+                           RsnError)
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
                             derive_seed, member_seed, run_hierarchy,
                             run_single, run_sweep)
@@ -141,7 +142,7 @@ class TestRunHierarchy:
 
         def make(cfg, alpha, beta, xi, seed):
             if seed == bad_seed:
-                raise GenerationError("no network")
+                raise ParameterError("no network")
             return real(cfg, alpha, beta, xi, seed)
 
         monkeypatch.setattr(harness, "_make_topology", make)
@@ -196,7 +197,7 @@ class TestLockstep:
         cfg = small_config()
         topos = [harness._make_topology(cfg, 1.0, 2.0, 1, member_seed(40, k))
                  for k in range(6)]
-        dims = {assemble(t, np.zeros(t.edge_count), 0.0).matrix.shape[0] for t in topos}
+        dims = {assemble(t, 0.0).matrix.shape[0] for t in topos}
         assert len(dims) > 1 and len({t.n_augmented for t in topos}) > 1
         kw = dict(dt=1e-3, duration=0.3, decimation=3, decay_mode="plain")
         wave = sine_waveform(8.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rsnsim.analysis import energy
-from rsnsim.device import default_ranges
+from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
 from rsnsim import solver
 from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
@@ -19,7 +19,7 @@ from tests.oracles import solve_resistive_network
 class TestAssembleSolve:
     def test_ohms_law_single_edge(self):
         t = linear_topology([(0, 15, 0.5)], input_node=0, ground_node=15)
-        sys = assemble(t, np.zeros(1), 2.0)
+        sys = assemble(t, 2.0)
         v, i_src = solve_step(sys)
         assert v[0] == pytest.approx(2.0, abs=1e-12)
         assert v[15] == 0.0
@@ -28,48 +28,43 @@ class TestAssembleSolve:
     def test_voltage_divider(self):
         t = linear_topology([(0, 5, 0.3), (5, 15, 0.3)], input_node=0,
                             ground_node=15)
-        v, i_src = solve_step(assemble(t, np.zeros(2), 4.0))
+        v, i_src = solve_step(assemble(t, 4.0))
         assert v[5] == pytest.approx(2.0, abs=1e-12)
         assert i_src == pytest.approx(0.15 * 4.0, rel=1e-12)
 
     def test_parallel_edges_sum(self):
         t = linear_topology([(0, 15, 0.2), (0, 15, 0.7)], input_node=0,
                             ground_node=15)
-        v, i_src = solve_step(assemble(t, np.zeros(2), 3.0))
+        v, i_src = solve_step(assemble(t, 3.0))
         assert i_src == pytest.approx(0.9 * 3.0, rel=1e-12)
 
     def test_zero_source_zero_solution(self):
         t = linear_topology([(0, 7, 1.0), (7, 15, 1.0)])
-        v, i_src = solve_step(assemble(t, np.zeros(2), 0.0))
+        v, i_src = solve_step(assemble(t, 0.0))
         assert np.all(v == 0.0)
         assert i_src == 0.0
 
     def test_conductance_block_symmetric(self):
         t = linear_topology([(0, 3, 1.0), (3, 9, 0.5), (9, 15, 2.0), (0, 9, 0.1)])
-        sys = assemble(t, np.zeros(4), 1.0)
+        sys = assemble(t, 1.0)
         g_block = sys.matrix[:sys.source_row, :sys.source_row]
         assert np.array_equal(g_block, g_block.T)
 
     def test_floating_island_pinned_at_zero(self):
         # nodes 3 and 7 form an island no current can reach
         t = linear_topology([(0, 15, 1.0), (3, 7, 1.0)])
-        v, i_src = solve_step(assemble(t, np.zeros(2), 5.0))
+        v, i_src = solve_step(assemble(t, 5.0))
         assert v[3] == 0.0 and v[7] == 0.0
         assert i_src == pytest.approx(5.0, rel=1e-12)
 
     def test_no_path_rejected(self):
         t = linear_topology([(1, 2, 1.0)])
         with pytest.raises(ParameterError):
-            assemble(t, np.zeros(1), 1.0)
-
-    def test_branch_voltage_length_checked(self):
-        t = linear_topology([(0, 15, 1.0)])
-        with pytest.raises(DataError):
-            assemble(t, np.zeros(3), 1.0)
+            assemble(t, 1.0)
 
     def test_kcl_residual_within_contract(self, rng):
         t = _random_linear_topology(rng, n_edges=30)
-        sys = assemble(t, np.zeros(t.edge_count), 3.0)
+        sys = assemble(t, 3.0)
         x = np.linalg.solve(sys.matrix, sys.rhs)
         res = np.abs(sys.matrix @ x - sys.rhs).max()
         assert res < 1e-9 * max(1.0, np.abs(sys.rhs).max())
@@ -99,7 +94,7 @@ class TestOracleEquivalence:
         oracle_edges = stamped_edges(t)
         v_in = float(rng.uniform(0.5, 8.0))
 
-        sys = assemble(t, np.zeros(t.edge_count), v_in)
+        sys = assemble(t, v_in)
         v, i_src = solve_step(sys)
         v_ref, i_ref = solve_resistive_network(t.grid.n_nodes, oracle_edges,
                                                t.input_node, t.ground_node, v_in)
@@ -119,6 +114,32 @@ class TestOracleEquivalence:
                 wave(k * 1e-3))
             assert np.abs(trace.interface_voltages[k] - v_ref[iface]).max() < 1e-9
             assert abs(trace.source_current[k] - i_ref) < 1e-9
+
+
+GOOD = linear_topology([(0, 5, 1.0), (5, 10, 1.0), (10, 15, 1.0)])
+
+
+def _with_param(key, value):
+    params = GOOD.params.copy()
+    params[1, _PARAM_KEYS.index(key)] = value
+    return params
+
+
+# one edit per rule of NetworkTopology.check besides the node range, and
+# the error it must raise
+CHECK_CASES = {
+    "params row short": ({"params": GOOD.params[:-1]}, "^params must have shape"),
+    "one params row": ({"params": GOOD.params[:1]}, "^params must have shape"),
+    "w_prime entry short": ({"w_prime": np.zeros(2)}, "^w_prime must have shape"),
+    "w=2": ({"w": np.array([0, 2, 0])}, "^w must be 0 or 1"),
+    "w_prime=1.5": ({"w_prime": np.array([0.0, 1.5, 0.0])}, "^w_prime must lie"),
+    "w_prime=5": ({"w_prime": np.array([0.0, 5.0, 0.0])}, "^w_prime must lie"),
+    "w_prime=nan": ({"w_prime": np.array([0.0, np.nan, 0.0])}, "^w_prime must lie"),
+    "epsilon=-1": ({"params": _with_param("epsilon", -1.0)}, "^epsilon must be"),
+    "tau=inf": ({"params": _with_param("tau", np.inf)}, "^tau must be"),
+    "self-loop": ({"b": np.array([5, 5, 15])}, "self-loop"),
+    "input=ground": ({"ground_node": 0}, "must differ"),
+}
 
 
 class TestSimulate:
@@ -298,17 +319,41 @@ class TestSimulate:
         assert (exc.value.member, exc.value.step) == (0, 2)
         assert steps == [0, 0, 1, 1, 2] and len(times) == 3  # not 10 steps
 
-    @pytest.mark.parametrize("field", ["a", "b", "input_node", "ground_node"])
-    @pytest.mark.parametrize("node", [-1, 16])
-    def test_node_index_outside_grid_rejected(self, field, node):
-        good = linear_topology([(0, 15, 1.0)])
-        value = np.array([node]) if field in ("a", "b") else node
-        bad = dataclasses.replace(good, **{field: value})
-        with pytest.raises(ParameterError, match=f"^{field} holds"):
-            simulate(bad, lambda t: 1.0, dt=1e-3, duration=0.01)
-        with pytest.raises(ParameterError, match=f"^{field} holds") as exc:
-            simulate([good, bad], lambda t: 1.0, dt=1e-3, duration=0.01)
+    def check_rejected_before_step_0(self, fields, match):
+        bad = dataclasses.replace(GOOD, **fields)
+        calls = []
+
+        def waveform(t):
+            calls.append(t)
+            return 1.0
+
+        with pytest.raises(ParameterError, match=match):
+            simulate(bad, waveform, dt=1e-3, duration=0.01)
+        with pytest.raises(ParameterError, match=match) as exc:
+            simulate([GOOD, bad], waveform, dt=1e-3, duration=0.01)
         assert exc.value.member == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["a", "b", "input_node", "ground_node"])
+    @pytest.mark.parametrize("node", [-1, 16, 5.0])
+    def test_node_index_outside_grid_rejected(self, field, node):
+        value = node if field.endswith("node") else \
+            np.where(np.arange(3) == 1, node, getattr(GOOD, field))
+        self.check_rejected_before_step_0({field: value}, f"^{field} holds")
+
+    @pytest.mark.parametrize("fields,match", CHECK_CASES.values(),
+                             ids=list(CHECK_CASES))
+    def test_check_rules_rejected_before_step_0(self, fields, match):
+        self.check_rejected_before_step_0(fields, match)
+
+    def test_misaligned_pair_rejected(self):
+        # the rows sum to the pair's edge count, so concatenated they align
+        short = dataclasses.replace(GOOD, params=GOOD.params[:-1])
+        long = dataclasses.replace(GOOD, params=np.vstack([GOOD.params,
+                                                           GOOD.params[:1]]))
+        with pytest.raises(ParameterError, match="^params must have shape") as exc:
+            simulate([short, long], lambda t: 1.0, dt=1e-3, duration=0.01)
+        assert exc.value.member == 0
 
     def test_numerical_error_carries_step_index(self):
         err = NumericalError("boom", step=17)

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import default_ranges
+from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import ParameterError
 from rsnsim.topology import (BetaShape, NetworkTopology, beta_sample,
                              build_grid, distance_map, ensure_connected,
@@ -291,6 +291,34 @@ class TestJson:
         t.params = np.zeros((0, 10))
         assert '"edges": []' in t.to_json()
         self.check(t)
+
+    @pytest.mark.parametrize("value,match", [
+        (True, "^'{}' must be a number, got True$"),
+        ("0.2", "^'{}' must be a number, got '0.2'$"),
+        (np.bool_(False), "^'{}' must be a number"),
+        (float("nan"), "^{} must"), (float("inf"), "^{} must"),
+        (-float("inf"), "^{} must"), (10 ** 400, "beyond the float range")],
+        ids=["bool", "str", "np.bool_", "nan", "inf", "-inf", "10**400"])
+    @pytest.mark.parametrize("where", ["tau", "w_prime"])
+    def test_rejects_non_numbers(self, value, match, where):
+        doc = linear_topology([(0, 15, 1.0), (3, 7, 1.0)]).to_dict()
+        edge = doc["edges"][1]
+        (edge["params"] if where == "tau" else edge["state"])[where] = value
+        with pytest.raises(ParameterError, match=match.format(where)):
+            NetworkTopology.from_dict(doc)
+        # a JSON NaN or Infinity reads back as a float
+        if isinstance(value, float):
+            with pytest.raises(ParameterError):
+                NetworkTopology.from_json(json.dumps(doc))
+
+    def test_numpy_scalars_accepted(self):
+        t = linear_topology([(0, 15, 1.0), (3, 7, 1.0)])
+        doc = t.to_dict()
+        doc["edges"][0]["params"]["tau"] = np.float32(0.5)
+        doc["edges"][1]["state"]["w_prime"] = np.int64(1)
+        back = NetworkTopology.from_dict(doc)
+        assert back.params[0, _PARAM_KEYS.index("tau")] == 0.5
+        assert back.w_prime.tolist() == [0.0, 1.0]
 
 
 class TestEnsureConnected:
