@@ -86,11 +86,6 @@ class SweepConfig:
                 raise ConfigError(f"alphas x betas cell ({alpha!r}, {beta!r}): "
                                   f"{exc}") from None
 
-    @property
-    def n_records(self) -> int:
-        return (len(self.alphas) * len(self.betas) * len(self.xis)
-                * len(self.amplitudes) * self.trials)
-
 
 @dataclass(frozen=True)
 class HierarchyConfig:

@@ -20,7 +20,7 @@ from . import device as dev
 from .errors import DataError, NumericalError, ParameterError
 from .topology import NetworkTopology, _components
 
-RESIDUAL_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 DEFAULT_FREQUENCY = 5.0  # Hz
 DEFAULT_DT = 1e-3        # s
 DEFAULT_DURATION = 1.0   # s
@@ -39,17 +39,18 @@ class LinearSystem:
     Unknowns are the voltages of the ground-component nodes except ground
     itself (rows given by ``node_rows``; ground and floating-island nodes
     map to -1) followed by the source branch current.  ``rhs`` is zero
-    except at ``source_row``, which holds the source voltage.  The conductance
-    block is symmetric.  Each device is stamped with max(G, g_floor) +
-    g_floor: the device kernel floors its conductance, and the assembler
-    adds a parallel g_floor path.  With that positive floor on every edge
-    the reduced system is nonsingular.
+    except in the last row, the source row, which holds the source voltage.
+    The conductance block is symmetric.  Each device is stamped with
+    max(G, g_floor) + g_floor: the device kernel floors its conductance,
+    and the assembler adds a parallel g_floor path.  With that positive
+    floor on every edge the reduced system is nonsingular.  ``diag_max[0]``
+    is the largest diagonal entry of ``matrix``.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     node_rows: np.ndarray
-    source_row: int
+    diag_max: np.ndarray
 
 
 def _stamps(t: NetworkTopology):
@@ -107,9 +108,8 @@ class _Assembler:
         grid = topologies[0].grid.to_dict()
         n = topologies[0].grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
-        # per member: matrix slice and shape, rhs slice, node rows, source row
-        members = []
-        flat, sign, edge, ones, src, a, b = [], [], [], [], [], [], []
+        members = []  # per member: matrix offset, dim, rhs offset, node rows
+        flat, sign, edge, ones = [], [], [], []
         size = rhs_size = n_edges = 0
         for m, t in enumerate(topologies):
             try:
@@ -120,17 +120,12 @@ class _Assembler:
                 exc.member = m
                 raise
             r_in, r_src = rows[t.input_node], dim - 1
-            members.append((slice(size, size + dim * dim), (dim, dim),
-                            slice(rhs_size, rhs_size + dim), rows, r_src))
+            members.append((size, dim, rhs_size, rows))
             flat.append(f + size)
             sign.append(s)
             self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
             edge.append(e + n_edges)
             ones.extend((size + r_in * dim + r_src, size + r_src * dim + r_in))
-            src.append(rhs_size + r_src)
-            # endpoints as indices into the members' stacked node voltages
-            a.append(t.a + m * n)
-            b.append(t.b + m * n)
             size += dim * dim
             rhs_size += dim
             n_edges += t.edge_count
@@ -138,18 +133,24 @@ class _Assembler:
         # the stamped entries, and each stamp's bin among them
         self._stamped = np.flatnonzero(np.bincount(flat, minlength=size))
         self._bins = np.searchsorted(self._stamped, flat)
+        # Each member's first stamped entry.  Off-diagonal entries are
+        # negative, so a member's largest stamped entry is on its diagonal.
+        self._firsts = np.searchsorted(self._stamped, [o for o, *_ in members])
+        self._diag_max = np.empty(len(members))
         self._sign = np.concatenate(sign)
         self._edge = np.concatenate(edge)
-        self._src = np.array(src)
+        self._src = np.array([r + d - 1 for _, d, r, _ in members])  # source rows
         self._matrices = np.zeros(size)
         self._matrices[ones] = 1.0  # source column and row
         self._rhs = np.zeros(rhs_size)
-        self._systems = [LinearSystem(matrix=self._matrices[ms].reshape(shape),
-                                      rhs=self._rhs[rs], node_rows=rows,
-                                      source_row=r_src)
-                         for ms, shape, rs, rows, r_src in members]
-        self.a = np.concatenate(a)
-        self.b = np.concatenate(b)
+        self._systems = [
+            LinearSystem(matrix=self._matrices[o:o + d * d].reshape(d, d),
+                         rhs=self._rhs[r:r + d], node_rows=rows,
+                         diag_max=self._diag_max[m:m + 1])
+            for m, (o, d, r, rows) in enumerate(members)]
+        # endpoints as indices into the members' stacked node voltages
+        self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
+        self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
 
         # one contiguous array per parameter, by name
         params = np.concatenate([t.params for t in topologies])
@@ -168,9 +169,10 @@ class _Assembler:
         views of this assembler's buffers, refilled in place: a system is
         valid until the next call.
         """
-        self._matrices[self._stamped] = np.bincount(
-            self._bins, weights=self._sign * g[self._edge],
-            minlength=self._stamped.size)
+        entries = np.bincount(self._bins, weights=self._sign * g[self._edge],
+                              minlength=self._stamped.size)
+        self._matrices[self._stamped] = entries
+        np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
         self._rhs[self._src] = v_in
         return self._systems
 
@@ -192,8 +194,8 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
 
     Returns (voltages, i_src): voltages over all grid nodes with ground
     fixed at 0 V, and the current delivered by the source.  Raises
-    NumericalError if the solve fails or the residual exceeds
-    RESIDUAL_RTOL * max(1, ||rhs||_inf).
+    NumericalError if the solve fails or its normwise backward error
+    ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) exceeds dim * eps.
     """
     try:
         x = np.linalg.solve(sys.matrix, sys.rhs)
@@ -202,16 +204,20 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     r = sys.matrix @ x
     r -= sys.rhs
     residual = np.abs(r, out=r).max()
-    # ||rhs||_inf is |v_in|: rhs is zero outside the source row
-    bound = RESIDUAL_RTOL * max(1.0, abs(sys.rhs[sys.source_row]))
-    if not residual < bound:
+    # The auxiliary unknown is the current out of the input node into the
+    # source; the delivered current is its negative.
+    i_src = -float(x[-1])
+    # ||b||_inf = |v_in|; node voltages lie in [0, v_in], so ||x||_inf =
+    # max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most
+    # its diagonal entry, and the source adds a 1: ||A||_inf <= 2 diag_max + 1
+    v_in = abs(float(sys.rhs[-1]))
+    bound = x.size * _EPS * ((2.0 * float(sys.diag_max[0]) + 1.0)
+                             * max(v_in, abs(i_src)) + v_in)
+    if not residual <= bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
     # row -1 (ground, floating islands) picks the appended 0 V
     voltages = np.concatenate((x, (0.0,)))[sys.node_rows]
-    # The auxiliary unknown is the current out of the input node into the
-    # source; the delivered current is its negative.
-    i_src = -float(x[sys.source_row])
     return voltages, i_src
 
 

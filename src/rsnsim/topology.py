@@ -50,20 +50,6 @@ class BetaShape:
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise ParameterError(f"beta must be > 0, got {self.beta!r}")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def skewness(self) -> float:
-        a, b = self.alpha, self.beta
-        return 2.0 * (b - a) * np.sqrt(a + b + 1.0) / ((a + b + 2.0) * np.sqrt(a * b))
-
-
-def beta_sample(shape: BetaShape, rng: np.random.Generator, size=None):
-    """Draw normalized wire lengths in [0, 1]."""
-    return rng.beta(shape.alpha, shape.beta, size=size)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -397,7 +383,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     params = np.empty((n_edges, len(_PARAM_KEYS)))
     for e in range(n_edges):
         start = int(rng.integers(n))
-        target = float(beta_sample(shape, rng))
+        target = float(rng.beta(shape.alpha, shape.beta))
         diffs = np.abs(rows[divmod(start, side)] - target).ravel()
         diffs[start] = np.inf
         ties = np.flatnonzero(diffs == diffs.min())

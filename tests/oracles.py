@@ -9,8 +9,7 @@ the straightforward search over the full n x n distance map.
 
 import numpy as np
 
-from rsnsim.topology import (NetworkTopology, _components, _lattice_chain,
-                             beta_sample)
+from rsnsim.topology import NetworkTopology, _components, _lattice_chain
 
 
 def gaussian_elimination(A, b):
@@ -88,7 +87,7 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
     a, b, params = [], [], []
     for _ in range(n * xi):
         start = int(rng.integers(n))
-        target = float(beta_sample(shape, rng))
+        target = float(rng.beta(shape.alpha, shape.beta))
         diffs = np.abs(dmap[start] - target)
         diffs[start] = np.inf
         ties = np.flatnonzero(diffs == diffs.min())

@@ -7,7 +7,7 @@ import pytest
 from rsnsim.analysis import energy
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
-from rsnsim import solver
+from rsnsim import device, solver
 from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
                            sine_waveform, solve_step)
 from rsnsim.topology import BetaShape, build_grid, generate_network
@@ -47,7 +47,7 @@ class TestAssembleSolve:
     def test_conductance_block_symmetric(self):
         t = linear_topology([(0, 3, 1.0), (3, 9, 0.5), (9, 15, 2.0), (0, 9, 0.1)])
         sys = assemble(t, 1.0)
-        g_block = sys.matrix[:sys.source_row, :sys.source_row]
+        g_block = sys.matrix[:-1, :-1]
         assert np.array_equal(g_block, g_block.T)
 
     def test_floating_island_pinned_at_zero(self):
@@ -56,6 +56,18 @@ class TestAssembleSolve:
         v, i_src = solve_step(assemble(t, 5.0))
         assert v[3] == 0.0 and v[7] == 0.0
         assert i_src == pytest.approx(5.0, rel=1e-12)
+
+    def test_inaccurate_solve_rejected(self, monkeypatch):
+        # a solution off by 1e-12 relative has a backward error far above
+        # dim * eps; a NaN solution fails every bound
+        t = linear_topology([(0, 5, 0.3), (5, 15, 0.3)], input_node=0,
+                            ground_node=15)
+        real = np.linalg.solve
+        for scale in (1.0 + 1e-12, math.nan):
+            monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) * scale)
+            with pytest.raises(NumericalError, match="exceeds bound") as exc:
+                solve_step(assemble(t, 4.0), step=3)
+            assert exc.value.step == 3
 
     def test_no_path_rejected(self):
         t = linear_topology([(1, 2, 1.0)])
@@ -114,6 +126,39 @@ class TestOracleEquivalence:
                 wave(k * 1e-3))
             assert np.abs(trace.interface_voltages[k] - v_ref[iface]).max() < 1e-9
             assert abs(trace.source_current[k] - i_ref) < 1e-9
+
+
+class TestPowerBalance:
+    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
+    def test_source_power_equals_dissipation(self, monkeypatch, amplitude):
+        # Tellegen's theorem: at every step the source delivers the power
+        # the devices dissipate, each stamped with g + g_floor
+        g = build_grid(4, 1)
+        t = generate_network(g, BetaShape(5, 1), 4, int(g.interface_indices[0]),
+                             int(g.interface_indices[-1]), default_ranges(),
+                             np.random.default_rng(1200), seed=1200)
+        floors = t.params[:, _PARAM_KEYS.index("g_floor")]
+        steps = []
+        real_g, real_solve = device.conductance_batch, solver.solve_step
+
+        def conductance(*args, **kwargs):
+            steps.append([real_g(*args, **kwargs)])
+            return steps[-1][0]
+
+        def solve(sys, step=None):
+            v, i_src = real_solve(sys, step=step)
+            steps[-1].extend((float(sys.rhs[-1]), v, i_src))
+            return v, i_src
+
+        monkeypatch.setattr(device, "conductance_batch", conductance)
+        monkeypatch.setattr(solver, "solve_step", solve)
+        simulate(t, sine_waveform(amplitude), dt=1e-3, duration=1.0)
+        assert len(steps) == 1000
+        for g_e, v_in, v, i_src in steps:
+            delivered = v_in * i_src
+            dissipated = np.sum((g_e + floors) * (v[t.a] - v[t.b]) ** 2)
+            assert abs(delivered - dissipated) <= \
+                1e-10 * max(abs(delivered), dissipated)
 
 
 GOOD = linear_topology([(0, 5, 1.0), (5, 10, 1.0), (10, 15, 1.0)])

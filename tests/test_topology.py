@@ -4,15 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import ParameterError
-from rsnsim.topology import (BetaShape, NetworkTopology, beta_sample,
-                             build_grid, distance_map, ensure_connected,
-                             generate_network, has_path)
+from rsnsim.topology import (BetaShape, NetworkTopology, build_grid,
+                             distance_map, ensure_connected, generate_network,
+                             has_path)
 
 from tests import oracles
 from tests.conftest import linear_topology
@@ -94,39 +93,7 @@ class TestDistanceMap:
 
 
 class TestBetaSampling:
-    def test_uniform_shape_ks(self):
-        rng = np.random.default_rng(11)
-        x = beta_sample(BetaShape(1, 1), rng, size=10_000)
-        assert scipy.stats.kstest(x, "uniform").statistic < 0.02
-
-    def test_mean_2_5(self):
-        rng = np.random.default_rng(12)
-        x = beta_sample(BetaShape(2, 5), rng, size=10_000)
-        assert abs(x.mean() - 2.0 / 7.0) < 0.01
-
-    def test_symmetric_shape_no_skew(self):
-        rng = np.random.default_rng(13)
-        x = beta_sample(BetaShape(10, 10), rng, size=100_000)
-        assert abs(scipy.stats.skew(x)) < 0.05
-
-    @pytest.mark.parametrize("a,b", [(1, 1), (2, 5), (5, 5), (10, 1)])
-    def test_mean_within_three_standard_errors(self, a, b):
-        rng = np.random.default_rng(a * 100 + b)
-        n = 10_000
-        x = beta_sample(BetaShape(a, b), rng, size=n)
-        mu = a / (a + b)
-        se = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1))) / math.sqrt(n)
-        assert abs(x.mean() - mu) < 3 * se
-
-    def test_deterministic(self):
-        a = beta_sample(BetaShape(2, 3), np.random.default_rng(4), size=50)
-        b = beta_sample(BetaShape(2, 3), np.random.default_rng(4), size=50)
-        assert np.array_equal(a, b)
-
     def test_shape_properties(self):
-        s = BetaShape(2, 5)
-        assert s.mean == pytest.approx(2 / 7)
-        assert BetaShape(3, 3).skewness == 0.0
         with pytest.raises(ParameterError):
             BetaShape(0, 1)
         with pytest.raises(ParameterError):
