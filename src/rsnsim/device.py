@@ -172,19 +172,36 @@ def conductance_batch(w, V, epsilon, theta, gamma, delta, g_floor):
     a further g_floor in parallel, so a branch conducts
     max(G, g_floor) + g_floor.
     """
-    absV = np.abs(np.asarray(V, dtype=float))
-    # The V -> 0 guard runs only when some |V| needs it (NaN included): with
-    # an all-False mask np.where returns its second operand, so the bits agree.
-    guard = not (absV.size and absV.min() > V_LIMIT_SWITCH)
-    small = absV <= V_LIMIT_SWITCH if guard else None
-    safe = np.where(small, 1.0, absV) if guard else absV
-    off = epsilon * -np.expm1(-theta * safe) / safe
-    on = gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe
-    if guard:
-        off = np.where(small, epsilon * theta, off)
-        on = np.where(small, gamma * delta, on)
-    g = np.where(np.asarray(w) == 1, on, off)
-    return np.maximum(g, g_floor)
+    # Every intermediate lives in a buffer of the result's shape and is
+    # computed in place, in the operation order of the formulas above, so
+    # the bits are the formulas'.
+    shape = np.broadcast(w, V, epsilon, theta, gamma, delta, g_floor).shape
+    safe = np.abs(np.asarray(V, dtype=float), out=np.empty(shape))
+    # The V -> 0 guard runs only when some |V| needs it (NaN included),
+    # and touches only the entries at the limit.
+    small = None
+    if not (safe.size and np.minimum.reduce(safe, axis=None) > V_LIMIT_SWITCH):
+        small = safe <= V_LIMIT_SWITCH
+        safe[small] = 1.0
+    off = np.negative(theta, out=np.empty(shape))
+    np.multiply(off, safe, out=off)
+    np.expm1(off, out=off)
+    np.negative(off, out=off)
+    np.multiply(epsilon, off, out=off)
+    np.divide(off, safe, out=off)
+    on = np.multiply(delta, safe, out=np.empty(shape))
+    np.minimum(on, _SINH_ARG_CAP, out=on)
+    np.sinh(on, out=on)
+    np.multiply(gamma, on, out=on)
+    np.divide(on, safe, out=on)
+    if small is not None:
+        np.multiply(epsilon, theta, out=off, where=small)
+        np.multiply(gamma, delta, out=on, where=small)
+    # ON where w == 1, then the floor; a scalar for scalar input, as a
+    # ufunc returns
+    np.putmask(off, np.equal(w, 1, out=np.empty(shape, dtype=bool)), on)
+    np.maximum(off, g_floor, out=off)
+    return off if off.ndim else off[()]
 
 
 def advance_state_batch(w_prime, V, dt, lam, eta, tau,
@@ -197,25 +214,35 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
     check_decay_mode(decay_mode)
     if not dt > 0.0:
         raise ParameterError(f"dt must be > 0, got {dt!r}")
-    absV = np.abs(np.asarray(V, dtype=float))
+    shape = np.broadcast(w_prime, V, dt, lam, eta, tau).shape
+    out = np.abs(np.asarray(V, dtype=float), out=np.empty(shape))
     with np.errstate(over="ignore"):
-        grow = lam * np.sinh(np.minimum(eta * absV, _SINH_ARG_CAP))
+        np.multiply(eta, out, out=out)
+        np.minimum(out, _SINH_ARG_CAP, out=out)
+        np.sinh(out, out=out)
+        np.multiply(lam, out, out=out)  # growth
         if decay_mode == "state_dependent":
             decay = (w_prime / tau) * (1.0 - w_prime)
         else:
             decay = w_prime / tau
-        out = w_prime + dt * (grow - decay)
+        np.subtract(out, decay, out=out)
+        np.multiply(dt, out, out=out)
+        np.add(w_prime, out, out=out)
     # Clamp to [0, 1]: fmin also sends NaN and +inf (overflow of dt * grow
     # under extreme bias) to 1, and fmax sends -inf to 0.
-    return np.fmax(np.fmin(out, 1.0), 0.0)
+    np.fmin(out, 1.0, out=out)
+    np.fmax(out, 0.0, out=out)
+    return out if out.ndim else out[()]
 
 
 def hysteresis_batch(w_prime, w, th_low, th_high):
     """Binary thresholding with a dead band: w -> 1 above th_high,
     0 below th_low, unchanged in between.  Returns a new array like ``w``."""
     out = np.array(w)
-    out[w_prime <= th_low] = 0
-    out[w_prime >= th_high] = 1  # stored last: wins where the bands overlap
+    band = np.empty(out.shape, dtype=bool)
+    np.putmask(out, np.less_equal(w_prime, th_low, out=band), 0)
+    # stored last: wins where the bands overlap
+    np.putmask(out, np.greater_equal(w_prime, th_high, out=band), 1)
     return out
 
 

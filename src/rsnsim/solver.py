@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import device as dev
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError, ParameterError, _integral
 from .topology import NetworkTopology, _components
 
 _EPS = float(np.finfo(float).eps)
@@ -44,63 +44,54 @@ class LinearSystem:
     max(G, g_floor) + g_floor: the device kernel floors its conductance,
     and the assembler adds a parallel g_floor path.  With that positive
     floor on every edge the reduced system is nonsingular.  ``diag_max[0]``
-    is the largest diagonal entry of ``matrix``.
+    is the largest diagonal entry of ``matrix``.  ``_gather`` is a buffer
+    longer than the unknowns whose last entry stays 0: ``solve_step``
+    copies the unknowns to its start and gathers the node voltages from it
+    by ``node_rows``, so row -1 reads 0 V.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     node_rows: np.ndarray
     diag_max: np.ndarray
+    _gather: np.ndarray = field(repr=False)
 
 
-def _stamps(t: NetworkTopology):
-    """One topology's unknown rows and matrix stamps.
-
-    Returns (node_rows, dim, flat, sign, edge): the row of each grid node
-    (-1 for ground and floating islands), the system size, and for every
-    stamp its flat index into the dim x dim matrix, its sign and its edge.
-    """
+def _rows(t: NetworkTopology):
+    """One topology's unknown rows: (node_rows, dim), the row of each grid
+    node (-1 for ground and floating islands) and the system size."""
     t.check()
-    n, a, b = t.grid.n_nodes, t.a, t.b
+    n = t.grid.n_nodes
 
     # Only the component containing ground carries current; nodes of
     # floating islands are pinned at 0 V (exact: no source reaches
     # them), which keeps the matrix nonsingular without perturbing
     # the live circuit.
-    labels = _components(n, a, b)
+    labels = _components(n, t.a, t.b)
     active = labels == labels[t.ground_node]
     if not active[t.input_node]:
         raise ParameterError("no input->ground path; run ensure_connected first")
     unknowns = np.flatnonzero(active & (np.arange(n) != t.ground_node))
     rows = np.full(n, -1, dtype=int)
     rows[unknowns] = np.arange(unknowns.size)
-    dim = unknowns.size + 1
-    ra, rb = rows[a], rows[b]
-
-    # Flattened scatter targets for the four stamps of each edge.
-    stamp_rows, stamp_cols, stamp_sign, stamp_edge = [], [], [], []
-    for r, c, s in ((ra, ra, 1.0), (rb, rb, 1.0), (ra, rb, -1.0), (rb, ra, -1.0)):
-        ok = (r >= 0) & (c >= 0)
-        stamp_rows.append(r[ok])
-        stamp_cols.append(c[ok])
-        stamp_sign.append(np.full(ok.sum(), s))
-        stamp_edge.append(np.flatnonzero(ok))
-    flat = np.concatenate(stamp_rows) * dim + np.concatenate(stamp_cols)
-    return (rows, dim, flat, np.concatenate(stamp_sign),
-            np.concatenate(stamp_edge))
+    return rows, unknowns.size + 1
 
 
 class _Assembler:
     """Scatter indices, parameter rows and one matrix buffer for topologies
     stepped in lockstep.
 
-    The members' edges, parameter rows and stamps are concatenated, so one
-    call of each device kernel and one ``np.bincount`` per step serve every
-    member.  Every member's matrix and rhs live in one flat buffer, member
-    m's matrix at an offset of the earlier members' dim**2, allocated once
-    with the source row and column set.  Each step the bincount sums every
-    stamped entry's terms in stamp order, the order of a member assembled
-    alone, and writes only those entries.  An error in member m's set-up
+    The members' edges and parameter rows are concatenated, so one call of
+    each device kernel and one ``np.bincount`` per step serve every member.
+    Every edge has four stamps, in four blocks over all edges: +g at (a, a),
+    +g at (b, b), -g at (a, b) and -g at (b, a), in unknown rows; a stamp
+    on ground or a floating island goes to a dropped bin.  Every member's
+    matrix and rhs live in one flat buffer, member m's matrix at an offset
+    of the earlier members' dim**2, allocated once with the source row and
+    column set.  Each step the bincount sums every stamped entry's terms in
+    stamp order, the order of a member assembled alone, and writes only
+    those entries.  The stamped conductances and the stamp weights have a
+    buffer each, refilled every step.  An error in member m's set-up
     carries ``member = m``.
     """
 
@@ -109,44 +100,54 @@ class _Assembler:
         n = topologies[0].grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
         members = []  # per member: matrix offset, dim, rhs offset, node rows
-        flat, sign, edge, ones = [], [], [], []
+        ra, rb, offset, dims, ones = [], [], [], [], []
         size = rhs_size = n_edges = 0
         for m, t in enumerate(topologies):
             try:
                 if t.grid.to_dict() != grid:
                     raise ParameterError("lockstep members must share one grid")
-                rows, dim, f, s, e = _stamps(t)
+                rows, dim = _rows(t)
             except Exception as exc:
                 exc.member = m
                 raise
             r_in, r_src = rows[t.input_node], dim - 1
             members.append((size, dim, rhs_size, rows))
-            flat.append(f + size)
-            sign.append(s)
+            ra.append(rows[t.a])
+            rb.append(rows[t.b])
+            offset.append(np.full(t.edge_count, size))
+            dims.append(np.full(t.edge_count, dim))
             self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
-            edge.append(e + n_edges)
             ones.extend((size + r_in * dim + r_src, size + r_src * dim + r_in))
             size += dim * dim
             rhs_size += dim
             n_edges += t.edge_count
-        flat = np.concatenate(flat)
-        # the stamped entries, and each stamp's bin among them
-        self._stamped = np.flatnonzero(np.bincount(flat, minlength=size))
-        self._bins = np.searchsorted(self._stamped, flat)
+        ra, rb = np.concatenate(ra), np.concatenate(rb)
+        stamp_rows, stamp_cols = np.stack((ra, rb, ra, rb)), np.stack((ra, rb, rb, ra))
+        ok = (stamp_rows >= 0) & (stamp_cols >= 0)
+        flat = np.concatenate(offset) + stamp_rows * np.concatenate(dims) + stamp_cols
+        # the stamped entries, each stamp's bin among them, and one more bin
+        # for the stamps that are dropped
+        self._stamped = np.flatnonzero(np.bincount(flat[ok], minlength=size))
+        self._bins = np.where(ok, np.searchsorted(self._stamped, flat),
+                              self._stamped.size).ravel()
+        self._block_sign = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        self._weights = np.empty((4, n_edges))
         # Each member's first stamped entry.  Off-diagonal entries are
         # negative, so a member's largest stamped entry is on its diagonal.
         self._firsts = np.searchsorted(self._stamped, [o for o, *_ in members])
         self._diag_max = np.empty(len(members))
-        self._sign = np.concatenate(sign)
-        self._edge = np.concatenate(edge)
         self._src = np.array([r + d - 1 for _, d, r, _ in members])  # source rows
+        self._g = np.empty(n_edges)
         self._matrices = np.zeros(size)
         self._matrices[ones] = 1.0  # source column and row
         self._rhs = np.zeros(rhs_size)
+        # one gather buffer serves every member: each solve overwrites at
+        # most its first dim entries, never the last
+        gather = np.zeros(max(d for _, d, _, _ in members) + 1)
         self._systems = [
             LinearSystem(matrix=self._matrices[o:o + d * d].reshape(d, d),
                          rhs=self._rhs[r:r + d], node_rows=rows,
-                         diag_max=self._diag_max[m:m + 1])
+                         diag_max=self._diag_max[m:m + 1], _gather=gather)
             for m, (o, d, r, rows) in enumerate(members)]
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
@@ -157,10 +158,11 @@ class _Assembler:
         self.p = dict(zip(dev._PARAM_KEYS, np.ascontiguousarray(params.T)))
 
     def conductances(self, w: np.ndarray, branch_voltages: np.ndarray) -> np.ndarray:
+        """The stamped conductances, in a buffer that the next call refills."""
         p = self.p
         g = dev.conductance_batch(w, branch_voltages, p["epsilon"], p["theta"],
                                   p["gamma"], p["delta"], p["g_floor"])
-        return g + p["g_floor"]  # parallel floor path per edge
+        return np.add(g, p["g_floor"], out=self._g)  # parallel floor path per edge
 
     def build(self, g: np.ndarray, v_in: float) -> List[LinearSystem]:
         """Every member's system for one step, in member order.
@@ -169,8 +171,9 @@ class _Assembler:
         views of this assembler's buffers, refilled in place: a system is
         valid until the next call.
         """
-        entries = np.bincount(self._bins, weights=self._sign * g[self._edge],
-                              minlength=self._stamped.size)
+        weights = np.multiply(self._block_sign, g, out=self._weights)
+        entries = np.bincount(self._bins, weights=weights.ravel(),
+                              minlength=self._stamped.size + 1)[:-1]
         self._matrices[self._stamped] = entries
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
         self._rhs[self._src] = v_in
@@ -201,24 +204,27 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
         x = np.linalg.solve(sys.matrix, sys.rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear solve failed: {exc}", step=step) from None
+    # b is zero but for the source row, which holds v_in
+    v_in = float(sys.rhs[-1])
     r = sys.matrix @ x
-    r -= sys.rhs
-    residual = np.abs(r, out=r).max()
+    r[-1] -= v_in
+    residual = np.maximum.reduce(np.abs(r, out=r))
     # The auxiliary unknown is the current out of the input node into the
     # source; the delivered current is its negative.
     i_src = -float(x[-1])
     # ||b||_inf = |v_in|; node voltages lie in [0, v_in], so ||x||_inf =
     # max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most
     # its diagonal entry, and the source adds a 1: ||A||_inf <= 2 diag_max + 1
-    v_in = abs(float(sys.rhs[-1]))
+    v_in = abs(v_in)
     bound = x.size * _EPS * ((2.0 * float(sys.diag_max[0]) + 1.0)
                              * max(v_in, abs(i_src)) + v_in)
     if not residual <= bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
-    # row -1 (ground, floating islands) picks the appended 0 V
-    voltages = np.concatenate((x, (0.0,)))[sys.node_rows]
-    return voltages, i_src
+    # row -1 (ground, floating islands) picks the buffer's last entry, 0 V
+    gather = sys._gather
+    gather[:x.size] = x
+    return gather[sys.node_rows], i_src
 
 
 @dataclass
@@ -328,6 +334,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
         raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(duration) and duration >= dt):
         raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
+    decimation = _integral(decimation, "decimation", ParameterError)
     if decimation < 1:
         raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
     dev.check_decay_mode(decay_mode)
@@ -336,11 +343,10 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     asm = _Assembler(members)
     p = asm.p
     n_members, n = len(members), members[0].grid.n_nodes
-    # The members' node voltages are stacked: member m's are voltages[m*n:(m+1)*n].
-    node_slices = [slice(m * n, (m + 1) * n) for m in range(n_members)]
+    # member m's node voltages are row m; flattened, the rows are stacked
+    voltages = np.zeros((n_members, n))
+    stacked = voltages.reshape(-1)
     iface = members[0].grid.interface_indices + n * np.arange(n_members)[:, None]
-    voltages = np.zeros(n_members * n)
-    i_src = np.zeros(n_members)
     w_prime = np.concatenate([t.w_prime for t in members])
     w = np.concatenate([t.w for t in members])
     branch_v = np.zeros(w.size)
@@ -366,20 +372,19 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
         systems = asm.build(asm.conductances(w, branch_v), v_in)
         for m in range(live):
             try:
-                voltages[node_slices[m]], i_src[m] = solve_step(systems[m], step=k)
+                voltages[m], i_src_all[m, k] = solve_step(systems[m], step=k)
             except Exception as exc:
                 exc.member = m
                 live, failure = m, exc
                 break
         if not live:
             break
-        branch_v = voltages[asm.a] - voltages[asm.b]
+        branch_v = stacked[asm.a] - stacked[asm.b]
 
         v_in_all[k] = v_in
-        i_src_all[:, k] = i_src
         if k % decimation == 0:
             times[rec] = t_k
-            iface_v[:, rec] = voltages[iface]
+            iface_v[:, rec] = stacked[iface]
             rec += 1
 
         w_prime = dev.advance_state_batch(w_prime, branch_v, dt, p["lambda"],

@@ -237,8 +237,13 @@ class NetworkTopology:
             values = np.array(values, dtype=float).reshape(-1, len(keys))
         except OverflowError:
             raise ParameterError("parameter or w_prime beyond the float range") from None
-        ints = [(_integral(e["a"], "a", DataError), _integral(e["b"], "b", DataError),
-                 _integral(e["state"]["w"], "w", ParameterError)) for e in edges]
+        ints = [x for e in edges for x in (e["a"], e["b"], e["state"]["w"])]
+        # an int passes as it is; only a document with other types checks
+        # its entries one by one, so the first bad one is named
+        if set(map(type, ints)) - {int}:
+            rules = (("a", DataError), ("b", DataError), ("w", ParameterError))
+            ints = [x if type(x) is int else _integral(x, *rules[i % 3])
+                    for i, x in enumerate(ints)]
         a, b, w = np.array(ints, dtype=int).reshape(-1, 3).T
         t = cls(grid=grid, a=a, b=b, params=values[:, :-1],
                 w_prime=values[:, -1], w=w,
@@ -380,16 +385,22 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     n = grid.n_nodes
     a = np.empty(n_edges, dtype=int)
     b = np.empty(n_edges, dtype=int)
-    params = np.empty((n_edges, len(_PARAM_KEYS)))
+    diffs = np.empty(n)
+    grid_diffs = diffs.reshape(side, side)
+    u = np.empty((n_edges, len(_PARAM_KEYS)))  # each device's unit draws
     for e in range(n_edges):
         start = int(rng.integers(n))
         target = float(rng.beta(shape.alpha, shape.beta))
-        diffs = np.abs(rows[divmod(start, side)] - target).ravel()
+        np.subtract(rows[divmod(start, side)], target, out=grid_diffs)
+        np.abs(diffs, out=diffs)
         diffs[start] = np.inf
-        ties = np.flatnonzero(diffs == diffs.min())
+        ties = (diffs == np.minimum.reduce(diffs)).nonzero()[0]
         a[e] = start
         b[e] = ties[rng.integers(ties.size)]
-        params[e] = sample_device_params(ranges, rng)
+        rng.random(out=u[e])
+    # sample_device_params' formula, over every device's draws at once
+    lo, hi = ranges.bounds
+    params = lo + (hi - lo) * u
 
     t = NetworkTopology(grid=grid, a=a, b=b, params=params,
                         w_prime=np.zeros(n_edges), w=np.zeros(n_edges, dtype=int),

@@ -4,11 +4,14 @@ These deliberately avoid the package's assembly and solve paths: the
 nodal equations are built with plain Python loops, the input voltage is
 substituted directly (no auxiliary current unknown), and the system is
 solved by hand-rolled Gaussian elimination.  Generation is checked against
-the straightforward search over the full n x n distance map.
+the straightforward search over the full n x n distance map.  The device
+kernels are checked against their formulas written with np.where, and
+``simulate`` against a plain lagged stepping loop built on them.
 """
 
 import numpy as np
 
+from rsnsim.device import _PARAM_KEYS, _SINH_ARG_CAP, V_LIMIT_SWITCH
 from rsnsim.topology import NetworkTopology, _components, _lattice_chain
 
 
@@ -116,3 +119,90 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
                            w_prime=np.zeros(a.size), w=np.zeros(a.size, dtype=int),
                            input_node=input_node, ground_node=ground_node,
                            seed=seed, n_augmented=a.size - n_generated)
+
+
+def guarded_conductance(w, V, epsilon, theta, gamma, delta, g_floor):
+    """The conductance kernel with the |V| <= V_LIMIT_SWITCH guard applied
+    through three np.where calls at every bias, and ON/OFF chosen by a
+    fourth."""
+    absV = np.abs(np.asarray(V, dtype=float))
+    small = absV <= V_LIMIT_SWITCH
+    safe = np.where(small, 1.0, absV)
+    off = np.where(small, epsilon * theta,
+                   epsilon * -np.expm1(-theta * safe) / safe)
+    on = np.where(small, gamma * delta,
+                  gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe)
+    return np.maximum(np.where(np.asarray(w) == 1, on, off), g_floor)
+
+
+def clipped_advance(w_prime, V, dt, lam, eta, tau, decay_mode):
+    """The internal-state Euler step, clamped with nan_to_num and clip."""
+    absV = np.abs(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = lam * np.sinh(np.minimum(eta * absV, _SINH_ARG_CAP))
+        if decay_mode == "state_dependent":
+            decay = (w_prime / tau) * (1.0 - w_prime)
+        else:
+            decay = w_prime / tau
+        out = w_prime + dt * (grow - decay)
+    return np.clip(np.nan_to_num(out, nan=1.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+
+
+def nested_where_hysteresis(w_prime, w, th_low, th_high):
+    """The hysteresis kernel as two nested np.where calls."""
+    w_arr = np.asarray(w)
+    return np.where(w_prime >= th_high, 1,
+                    np.where(w_prime <= th_low, 0, w_arr)).astype(w_arr.dtype)
+
+
+def lagged_run(t, waveform, dt, n_steps, decay_mode="state_dependent"):
+    """One network stepped by the lagged scheme with the kernels above.
+
+    Per step: conductances at the previous step's branch voltages, each
+    floored device stamped with a further g_floor in parallel; the nodal
+    system (ground-component nodes except ground, then the source current)
+    assembled by a loop over the stamps in ``simulate``'s order (the a-a,
+    b-b, a-b and b-a stamps, each over the edges in order); one
+    np.linalg.solve; node voltages gathered from the solution with 0 V
+    appended; then the Euler step and hysteresis.  Returns (v_in, i_src,
+    node voltages) at every step and the switching count.
+    """
+    p = dict(zip(_PARAM_KEYS, t.params.T))
+    n = t.grid.n_nodes
+    labels = _components(n, t.a, t.b)
+    unknowns = [i for i in range(n)
+                if labels[i] == labels[t.ground_node] and i != t.ground_node]
+    rows = np.full(n, -1)
+    rows[unknowns] = np.arange(len(unknowns))
+    dim = len(unknowns) + 1
+    ra, rb = rows[t.a].tolist(), rows[t.b].tolist()
+    stamps = [(r, c, s) for rs, cs, s in ((ra, ra, 1.0), (rb, rb, 1.0),
+                                          (ra, rb, -1.0), (rb, ra, -1.0))
+              for r, c in zip(rs, cs)]
+    w_prime, w = t.w_prime.copy(), t.w.copy()
+    branch_v = np.zeros(t.edge_count)
+    flips = 0
+    v_ins, i_srcs, voltages = [], [], []
+    for k in range(n_steps):
+        v_in = float(waveform(k * dt))
+        g = guarded_conductance(w, branch_v, p["epsilon"], p["theta"], p["gamma"],
+                                p["delta"], p["g_floor"]) + p["g_floor"]
+        A = [[0.0] * dim for _ in range(dim)]
+        A[rows[t.input_node]][dim - 1] = A[dim - 1][rows[t.input_node]] = 1.0
+        for (r, c, s), g_e in zip(stamps, g.tolist() * 4):
+            if r >= 0 and c >= 0:
+                A[r][c] += s * g_e
+        rhs = np.zeros(dim)
+        rhs[-1] = v_in
+        x = np.linalg.solve(np.array(A), rhs)
+        v = np.concatenate((x, (0.0,)))[rows]
+        branch_v = v[t.a] - v[t.b]
+        v_ins.append(v_in)
+        i_srcs.append(-float(x[-1]))
+        voltages.append(v)
+        w_prime = clipped_advance(w_prime, branch_v, dt, p["lambda"], p["eta"],
+                                  p["tau"], decay_mode)
+        new_w = nested_where_hysteresis(w_prime, w, p["th_low"], p["th_high"])
+        flips += int(np.count_nonzero(new_w != w))
+        w = new_w
+    return np.array(v_ins), np.array(i_srcs), np.array(voltages), flips

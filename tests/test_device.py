@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import (_PARAM_KEYS, _SINH_ARG_CAP, DEFAULT_PARAMS,
-                           V_LIMIT_SWITCH, ParamRanges, advance_state_batch,
-                           check_params, conductance_batch, default_ranges,
+from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, V_LIMIT_SWITCH,
+                           ParamRanges, advance_state_batch, check_params,
+                           conductance_batch, default_ranges,
                            hysteresis_batch, sample_device_params)
 from rsnsim.errors import ParameterError
 from rsnsim.topology import NetworkTopology
 
 from tests.conftest import linear_topology
+from tests.oracles import (clipped_advance, guarded_conductance,
+                           nested_where_hysteresis)
 
 TAU = _PARAM_KEYS.index("tau")
 
@@ -121,19 +123,6 @@ class TestConductance:
             assert batch[i] == conductance(int(ws[i]), float(vs[i]), p)
 
 
-def guarded_conductance(w, V, epsilon, theta, gamma, delta, g_floor):
-    """Reference: the conductance kernel with the |V| <= V_LIMIT_SWITCH
-    guard applied through three np.where calls at every bias."""
-    absV = np.abs(np.asarray(V, dtype=float))
-    small = absV <= V_LIMIT_SWITCH
-    safe = np.where(small, 1.0, absV)
-    off = np.where(small, epsilon * theta,
-                   epsilon * -np.expm1(-theta * safe) / safe)
-    on = np.where(small, gamma * delta,
-                  gamma * np.sinh(np.minimum(delta * safe, _SINH_ARG_CAP)) / safe)
-    return np.maximum(np.where(np.asarray(w) == 1, on, off), g_floor)
-
-
 class TestConductanceGuard:
     SPECIAL = [0.0, -0.0, V_LIMIT_SWITCH, -V_LIMIT_SWITCH,
                np.nextafter(V_LIMIT_SWITCH, np.inf),
@@ -193,20 +182,8 @@ class TestInternalState:
         assert threshold(advance(0.9, 1.0, 0.01, p), 1, p) == 1
 
     def test_clamp_matches_nan_to_num_clip(self):
-        # reference: the kernel with a nan_to_num + clip clamp; the
-        # kernel's fmin/fmax clamp must give the same bits on every input
-        def reference(w_prime, V, dt, lam, eta, tau, decay_mode):
-            absV = np.abs(V)
-            with np.errstate(over="ignore", invalid="ignore"):
-                grow = lam * np.sinh(np.minimum(eta * absV, 700.0))
-                if decay_mode == "state_dependent":
-                    decay = (w_prime / tau) * (1.0 - w_prime)
-                else:
-                    decay = w_prime / tau
-                out = w_prime + dt * (grow - decay)
-            return np.clip(np.nan_to_num(out, nan=1.0, posinf=1.0, neginf=0.0),
-                           0.0, 1.0)
-
+        # the kernel's fmin/fmax clamp must give the same bits as a
+        # nan_to_num + clip clamp on every input
         rng = np.random.default_rng(3)
         n = 4000
         special = [0.0, -0.0, 1.0, 0.5, np.nan, np.inf, -np.inf, 1e308, -1e308]
@@ -221,7 +198,7 @@ class TestInternalState:
                 with np.errstate(invalid="ignore"):
                     got = advance_state_batch(w_prime, V, dt, lam, eta, tau,
                                               decay_mode=mode)
-                want = reference(w_prime, V, dt, lam, eta, tau, mode)
+                want = clipped_advance(w_prime, V, dt, lam, eta, tau, mode)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -282,13 +259,6 @@ class TestHysteresis:
             w = new_w
         assert len(ups) == 1 and len(downs) == 1
         assert ups[0] >= p["th_high"] and downs[0] <= p["th_low"]
-
-
-def nested_where_hysteresis(w_prime, w, th_low, th_high):
-    """Reference: the hysteresis kernel as two nested np.where calls."""
-    w_arr = np.asarray(w)
-    return np.where(w_prime >= th_high, 1,
-                    np.where(w_prime <= th_low, 0, w_arr)).astype(w_arr.dtype)
 
 
 class TestHysteresisReference:

@@ -10,10 +10,10 @@ from rsnsim.errors import DataError, NumericalError, ParameterError
 from rsnsim import device, solver
 from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
                            sine_waveform, solve_step)
-from rsnsim.topology import BetaShape, build_grid, generate_network
+from rsnsim.topology import BetaShape, _components, build_grid, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
-from tests.oracles import solve_resistive_network
+from tests.oracles import lagged_run, solve_resistive_network
 
 
 class TestAssembleSolve:
@@ -126,6 +126,54 @@ class TestOracleEquivalence:
                 wave(k * 1e-3))
             assert np.abs(trace.interface_voltages[k] - v_ref[iface]).max() < 1e-9
             assert abs(trace.source_current[k] - i_ref) < 1e-9
+
+
+def _with_island(t):
+    """``t`` plus an ON device joining two nodes outside the ground
+    component: its bias is exactly 0 V at every step, so the conductance
+    kernel's V -> 0 guard runs at every step."""
+    labels = _components(t.grid.n_nodes, t.a, t.b)
+    u, v = np.flatnonzero(labels != labels[t.ground_node])[:2]
+    return dataclasses.replace(
+        t, a=np.append(t.a, u), b=np.append(t.b, v),
+        params=np.vstack([t.params, t.params[-1:]]),
+        w_prime=np.append(t.w_prime, 0.5), w=np.append(t.w, 1))
+
+
+class TestLaggedReference:
+    @pytest.mark.parametrize("decimation", [1, 3])
+    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_bit_equal_to_reference_loop(self, n_members, amplitude, decimation):
+        g = build_grid(4, 1)
+        ends = int(g.interface_indices[0]), int(g.interface_indices[-1])
+        # seeds whose networks leave at least two nodes off the ground component
+        members = [_with_island(generate_network(
+            g, BetaShape(1, 5), 2, *ends, default_ranges(),
+            np.random.default_rng(seed), seed=seed))
+            for seed in (700, 706, 709)[:n_members]]
+        dt, n_steps = 1e-3, 200
+        wave = sine_waveform(amplitude)
+        got = simulate(members if n_members > 1 else members[0], wave, dt=dt,
+                       duration=n_steps * dt, decimation=decimation)
+        traces = got if n_members > 1 else [got]
+        rows = slice(None, None, decimation)
+        for t, trace in zip(members, traces):
+            v_in, i_src, voltages, flips = lagged_run(t, wave, dt, n_steps)
+            want = {"times": np.arange(n_steps)[rows] * dt,
+                    "applied_voltage": v_in[rows], "source_current": i_src[rows],
+                    "interface_voltages": voltages[rows][:, g.interface_indices]}
+            for name, value in want.items():
+                assert getattr(trace, name).tobytes() == value.tobytes(), name
+            assert trace.switching_events == flips
+            if decimation == 1:
+                assert trace.every_step is None
+            else:
+                step_dt, v_all, i_all = trace.every_step
+                assert (step_dt, v_all.tobytes(), i_all.tobytes()) == \
+                    (dt, v_in.tobytes(), i_src.tobytes())
+        if amplitude == 8.0:
+            assert got.switching_events > 0
 
 
 class TestPowerBalance:
@@ -278,13 +326,17 @@ class TestSimulate:
             simulate(t, lambda t: 1.0, dt=1e-3, duration=float("inf"))
         with pytest.raises(DataError):
             simulate(t, lambda s: float("inf"), dt=1e-3, duration=0.01)
-        # decay_mode is checked before assembly, which would reject this
-        # topology (no input->ground path)
+        # decay_mode and decimation are checked before assembly, which
+        # would reject this topology (no input->ground path)
         island = linear_topology([(1, 2, 1.0)])
         for mode in ("bogus", None, 3):
             with pytest.raises(ParameterError, match="decay_mode"):
                 simulate(island, lambda t: 1.0, dt=1e-3, duration=0.01,
                          decay_mode=mode)
+        for d in (2.5, "3", True, 0):
+            with pytest.raises(ParameterError, match="decimation"):
+                simulate(island, lambda t: 1.0, dt=1e-3, duration=0.01,
+                         decimation=d)
 
     def test_sequence_gives_trace_batch(self):
         t = linear_topology([(0, 15, 1.0)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsnsim.device import _PARAM_KEYS, default_ranges
-from rsnsim.errors import ParameterError
+from rsnsim.errors import DataError, ParameterError
 from rsnsim.topology import (BetaShape, NetworkTopology, build_grid,
                              distance_map, ensure_connected, generate_network,
                              has_path)
@@ -277,6 +277,26 @@ class TestJson:
         if isinstance(value, float):
             with pytest.raises(ParameterError):
                 NetworkTopology.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("a", 0.7, DataError), ("b", True, DataError), ("a", None, DataError),
+        ("w", 1.5, ParameterError), ("w", "1", ParameterError)])
+    def test_rejects_non_integers(self, field, value, error):
+        doc = linear_topology([(0, 15, 1.0), (3, 7, 1.0)]).to_dict()
+        (doc["edges"][0]["state"] if field == "w" else doc["edges"][0])[field] = value
+        doc["edges"][1]["a"] = 2.5  # a later bad entry is not the one named
+        with pytest.raises(error, match=f"^'{field}' must be an integer, "
+                                        f"got {value!r}$"):
+            NetworkTopology.from_dict(doc)
+
+    def test_integral_values_accepted(self):
+        doc = linear_topology([(0, 15, 1.0), (3, 7, 1.0)]).to_dict()
+        doc["edges"][0]["a"] = 0.0
+        doc["edges"][1]["b"] = np.int64(7)
+        doc["edges"][1]["state"]["w"] = 1.0
+        back = NetworkTopology.from_dict(doc)
+        assert back.a.tolist() == [0, 3] and back.b.tolist() == [15, 7]
+        assert back.w.tolist() == [0, 1]
 
     def test_numpy_scalars_accepted(self):
         t = linear_topology([(0, 15, 1.0), (3, 7, 1.0)])
