@@ -34,11 +34,7 @@ log = logging.getLogger("rsnsim")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.9g}"
-    return str(x)
+    return f"{x:.9g}" if isinstance(x, float) else str(x)  # NaN prints as nan
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -31,6 +31,11 @@ _SINH_ARG_CAP = 700.0
 
 DECAY_MODES = ("state_dependent", "plain")
 
+
+# The kernels' constants as 0-d arrays, which ufuncs take faster than Python
+# scalars; they meet only float64 buffers, and _ON only w in ==.
+_LIMIT, _CAP, _ZERO, _ONE, _ON = map(np.array, (V_LIMIT_SWITCH, _SINH_ARG_CAP, 0.0, 1.0, 1))
+
 # Default parameter set: produces switching within a few periods of a
 # 5 Hz, 1-8 V sine drive on the default lattices.  All overridable.
 DEFAULT_PARAMS = MappingProxyType({
@@ -172,38 +177,35 @@ def conductance_batch(w, V, epsilon, theta, gamma, delta, g_floor):
     a further g_floor in parallel, so a branch conducts
     max(G, g_floor) + g_floor.
     """
-    # Every intermediate lives in a buffer of the result's shape and is
-    # computed in place, in the operation order of the formulas above, so
-    # the bits are the formulas'.
-    shape = np.broadcast(w, V, epsilon, theta, gamma, delta, g_floor).shape
-    safe = np.abs(np.asarray(V, dtype=float), out=np.empty(shape))
-    # The V -> 0 guard runs only when some |V| needs it (NaN included),
-    # and touches only the entries at the limit.
-    small = None
-    if not (safe.size and np.minimum.reduce(safe, axis=None) > V_LIMIT_SWITCH):
-        small = safe <= V_LIMIT_SWITCH
-        safe[small] = 1.0
-    off = np.negative(theta, out=np.empty(shape))
-    np.multiply(off, safe, out=off)
-    np.expm1(off, out=off)
-    np.negative(off, out=off)
-    np.multiply(epsilon, off, out=off)
-    np.divide(off, safe, out=off)
-    on = np.multiply(delta, safe, out=np.empty(shape))
-    np.minimum(on, _SINH_ARG_CAP, out=on)
-    np.sinh(on, out=on)
-    np.multiply(gamma, on, out=on)
-    np.divide(on, safe, out=on)
-    if small is not None:
-        np.multiply(epsilon, theta, out=off, where=small)
-        np.multiply(gamma, delta, out=on, where=small)
-    # ON where w == 1, then the floor; a scalar for scalar input, as a
-    # ufunc returns
-    np.putmask(off, np.equal(w, 1, out=np.empty(shape, dtype=bool)), on)
-    np.maximum(off, g_floor, out=off)
-    return off if off.ndim else off[()]
+    # The formulas in their operation order, so the bits are the formulas'.
+    # A ufunc bringing in an operand allocates (numpy broadcasts there); the
+    # rest work in place, on arrays: a 0-d bias is taken as shape (1,).
+    safe = np.abs(V, dtype=float)
+    scalar = safe.ndim == 0
+    safe = safe.reshape(1) if scalar else safe
+    # The V -> 0 guard touches only the entries at the limit.
+    small = np.less_equal(safe, _LIMIT)
+    guarded = np.count_nonzero(small)
+    if guarded:
+        np.putmask(safe, small, _ONE)
+    off = np.multiply(np.negative(theta), safe)
+    np.negative(np.expm1(off, out=off), out=off)
+    off = np.multiply(epsilon, off)
+    off /= safe
+    on = np.multiply(delta, safe)
+    np.sinh(np.minimum(on, _CAP, out=on), out=on)
+    on = np.multiply(gamma, on)
+    on /= safe
+    if guarded:
+        np.copyto(off, np.multiply(epsilon, theta), where=small)
+        np.copyto(on, np.multiply(gamma, delta), where=small)
+    # ON where w == 1, then the floor; a scalar if every input is one
+    out = np.maximum(np.where(np.equal(w, _ON), on, off), g_floor)
+    others = (w, epsilon, theta, gamma, delta, g_floor)
+    return out[0] if scalar and not any(map(np.ndim, others)) else out
 
 
+@np.errstate(over="ignore")
 def advance_state_batch(w_prime, V, dt, lam, eta, tau,
                         decay_mode: str = "state_dependent"):
     """One explicit-Euler step of the internal state, clamped to [0, 1].
@@ -211,28 +213,26 @@ def advance_state_batch(w_prime, V, dt, lam, eta, tau,
     state_dependent: dw'/dt = lam*sinh(eta*|V|) - (w'/tau)*(1 - w')
     plain:           dw'/dt = lam*sinh(eta*|V|) - w'/tau
     """
-    check_decay_mode(decay_mode)
-    if not dt > 0.0:
+    w_prime = np.array(w_prime) if isinstance(w_prime, list) else w_prime
+    if decay_mode == "state_dependent":
+        decay = np.divide(w_prime, tau)
+        decay *= 1.0 - w_prime  # a float w_prime stays a Python scalar
+    elif decay_mode == "plain":
+        decay = np.divide(w_prime, tau)
+    else:
+        check_decay_mode(decay_mode)
+    if not (dt > 0.0 if isinstance(dt, float) else np.all(np.greater(dt, 0.0))):
         raise ParameterError(f"dt must be > 0, got {dt!r}")
-    shape = np.broadcast(w_prime, V, dt, lam, eta, tau).shape
-    out = np.abs(np.asarray(V, dtype=float), out=np.empty(shape))
-    with np.errstate(over="ignore"):
-        np.multiply(eta, out, out=out)
-        np.minimum(out, _SINH_ARG_CAP, out=out)
-        np.sinh(out, out=out)
-        np.multiply(lam, out, out=out)  # growth
-        if decay_mode == "state_dependent":
-            decay = (w_prime / tau) * (1.0 - w_prime)
-        else:
-            decay = w_prime / tau
-        np.subtract(out, decay, out=out)
-        np.multiply(dt, out, out=out)
-        np.add(w_prime, out, out=out)
+    out = np.abs(V, dtype=float)
+    scalar = out.ndim == 0  # taken as shape (1,), as in conductance_batch
+    out = np.multiply(eta, out.reshape(1) if scalar else out)
+    np.sinh(np.minimum(out, _CAP, out=out), out=out)
+    out = np.multiply(dt, np.subtract(np.multiply(lam, out), decay))
+    out += w_prime  # NaN never reaches the result: the order is free
     # Clamp to [0, 1]: fmin also sends NaN and +inf (overflow of dt * grow
     # under extreme bias) to 1, and fmax sends -inf to 0.
-    np.fmin(out, 1.0, out=out)
-    np.fmax(out, 0.0, out=out)
-    return out if out.ndim else out[()]
+    np.fmax(np.fmin(out, _ONE, out=out), _ZERO, out=out)
+    return out[0] if scalar and not any(map(np.ndim, (w_prime, dt, lam, eta, tau))) else out
 
 
 def hysteresis_batch(w_prime, w, th_low, th_high):

@@ -90,9 +90,11 @@ class _Assembler:
     of the earlier members' dim**2, allocated once with the source row and
     column set.  Each step the bincount sums every stamped entry's terms in
     stamp order, the order of a member assembled alone, and writes only
-    those entries.  The stamped conductances and the stamp weights have a
-    buffer each, refilled every step.  An error in member m's set-up
-    carries ``member = m``.
+    those entries.  It sums g, then negates the off-diagonal sums (their
+    stamps are all -g; there are no self-loops), which is bit for bit the
+    sum of the -g terms: rounding is symmetric in sign.  The stamped
+    conductances and the stamp weights have a buffer each, refilled every
+    step.  An error in member m's set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -130,8 +132,9 @@ class _Assembler:
         self._stamped = np.flatnonzero(np.bincount(flat[ok], minlength=size))
         self._bins = np.where(ok, np.searchsorted(self._stamped, flat),
                               self._stamped.size).ravel()
-        self._block_sign = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         self._weights = np.empty((4, n_edges))
+        self._sign = np.full(self._stamped.size + 1, -1.0)  # a sign per bin:
+        self._sign[self._bins[:2 * n_edges]] = 1.0  # + for a-a and b-b stamps
         # Each member's first stamped entry.  Off-diagonal entries are
         # negative, so a member's largest stamped entry is on its diagonal.
         self._firsts = np.searchsorted(self._stamped, [o for o, *_ in members])
@@ -171,9 +174,10 @@ class _Assembler:
         views of this assembler's buffers, refilled in place: a system is
         valid until the next call.
         """
-        weights = np.multiply(self._block_sign, g, out=self._weights)
-        entries = np.bincount(self._bins, weights=weights.ravel(),
-                              minlength=self._stamped.size + 1)[:-1]
+        np.copyto(self._weights, g)
+        entries = np.bincount(self._bins, weights=self._weights.ravel(),
+                              minlength=self._sign.size)
+        entries = np.multiply(entries, self._sign, out=entries)[:-1]
         self._matrices[self._stamped] = entries
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
         self._rhs[self._src] = v_in
@@ -205,18 +209,18 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear solve failed: {exc}", step=step) from None
     # b is zero but for the source row, which holds v_in
-    v_in = float(sys.rhs[-1])
+    v_in = sys.rhs.item(-1)
     r = sys.matrix @ x
     r[-1] -= v_in
-    residual = np.maximum.reduce(np.abs(r, out=r))
+    residual = r.item(np.abs(r, out=r).argmax())  # the max, or a NaN in r
     # The auxiliary unknown is the current out of the input node into the
     # source; the delivered current is its negative.
-    i_src = -float(x[-1])
+    i_src = -x.item(-1)
     # ||b||_inf = |v_in|; node voltages lie in [0, v_in], so ||x||_inf =
     # max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most
     # its diagonal entry, and the source adds a 1: ||A||_inf <= 2 diag_max + 1
     v_in = abs(v_in)
-    bound = x.size * _EPS * ((2.0 * float(sys.diag_max[0]) + 1.0)
+    bound = x.size * _EPS * ((2.0 * sys.diag_max.item() + 1.0)
                              * max(v_in, abs(i_src)) + v_in)
     if not residual <= bound:
         raise NumericalError(

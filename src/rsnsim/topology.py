@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -224,8 +225,15 @@ class NetworkTopology:
         grid = Grid.from_dict(d["grid"])
         edges = d["edges"]
         keys = _PARAM_KEYS + ("w_prime",)
-        values = [x for e in edges for x in
-                  _ordered(e["params"], "device parameter") + [e["state"]["w_prime"]]]
+        try:  # one pass when every edge has exactly the ten parameter keys
+            params, ordered = [e["params"] for e in edges], itemgetter(*_PARAM_KEYS)
+            if set(map(len, params)) - {len(_PARAM_KEYS)}:
+                raise KeyError
+            values = [x for p, e in zip(params, edges)
+                      for x in (*ordered(p), e["state"]["w_prime"])]
+        except (KeyError, TypeError):  # edge by edge: the first bad edge raises
+            values = [x for e in edges for x in
+                      _ordered(e["params"], "device parameter") + [e["state"]["w_prime"]]]
         # numbers, not booleans, tested once per distinct type
         bad = {t for t in set(map(type, values)) if t is bool or
                not issubclass(t, (int, float, np.integer, np.floating))}
@@ -286,21 +294,13 @@ def has_path(t: NetworkTopology) -> bool:
 
 
 def _lattice_chain(grid: Grid, u: int, v: int) -> List[Tuple[int, int]]:
-    """Unit steps of an L-shaped lattice path from node u to node v."""
+    """Unit steps of an L-shaped lattice path from node u to node v: along
+    x on u's row, then along y on v's column."""
     side = grid.side
-    xu, yu = int(grid.positions[u, 0]), int(grid.positions[u, 1])
-    xv, yv = int(grid.positions[v, 0]), int(grid.positions[v, 1])
-    hops = []
-    x, y = xu, yu
-    while x != xv:
-        nx = x + (1 if xv > x else -1)
-        hops.append((y * side + x, y * side + nx))
-        x = nx
-    while y != yv:
-        ny = y + (1 if yv > y else -1)
-        hops.append((y * side + x, ny * side + x))
-        y = ny
-    return hops
+    (yu, xu), (yv, xv) = divmod(u, side), divmod(v, side)
+    sx, sy = (1 if xv > xu else -1), (1 if yv > yu else -1)
+    return ([(yu * side + x, yu * side + x + sx) for x in range(xu, xv, sx)]
+            + [(y * side + xv, (y + sy) * side + xv) for y in range(yu, yv, sy)])
 
 
 def ensure_connected(t: NetworkTopology, rng: np.random.Generator,

@@ -136,8 +136,9 @@ def guarded_conductance(w, V, epsilon, theta, gamma, delta, g_floor):
 
 
 def clipped_advance(w_prime, V, dt, lam, eta, tau, decay_mode):
-    """The internal-state Euler step, clamped with nan_to_num and clip."""
-    absV = np.abs(V)
+    """The internal-state Euler step, clamped with nan_to_num and clip; the
+    bias is read as float64, as in guarded_conductance."""
+    absV = np.abs(np.asarray(V, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         grow = lam * np.sinh(np.minimum(eta * absV, _SINH_ARG_CAP))
         if decay_mode == "state_dependent":

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsnsim.device import (_PARAM_KEYS, DEFAULT_PARAMS, V_LIMIT_SWITCH,
-                           ParamRanges, advance_state_batch, check_params,
+from rsnsim.device import (_PARAM_KEYS, DECAY_MODES, DEFAULT_PARAMS,
+                           V_LIMIT_SWITCH, ParamRanges, advance_state_batch, check_params,
                            conductance_batch, default_ranges,
                            hysteresis_batch, sample_device_params)
 from rsnsim.errors import ParameterError
@@ -205,6 +205,25 @@ class TestInternalState:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ParameterError):
             advance(0.0, 0.0, 0.0, params())
+        with pytest.raises(ParameterError, match="dt must be > 0"):
+            advance_state_batch([0.1, 0.2], 1.0, [1e-3, 0.0], 1.0, 4.0, 0.2)
+
+    def test_list_inputs(self):
+        # every argument may be a list, as for the other two kernels
+        rng = np.random.default_rng(4)
+        n = 40
+        args = [rng.uniform(0.0, 1.0, n), rng.uniform(-8.0, 8.0, n),
+                rng.uniform(1e-4, 1e-2, n), rng.uniform(0.5, 1.5, n),
+                rng.uniform(2.0, 6.0, n), rng.uniform(0.1, 0.3, n)]
+        for mode in DECAY_MODES:
+            got = advance_state_batch(*[a.tolist() for a in args], decay_mode=mode)
+            want = clipped_advance(*args, mode)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # a list w_prime against scalar parameters
+            got = advance_state_batch(args[0].tolist(), 0.5, 1e-3, 1.0, 4.0, 0.2,
+                                      decay_mode=mode)
+            want = clipped_advance(args[0], 0.5, 1e-3, 1.0, 4.0, 0.2, mode)
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_unknown_decay_mode(self):
         with pytest.raises(ParameterError):

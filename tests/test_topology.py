@@ -259,6 +259,28 @@ class TestJson:
         assert '"edges": []' in t.to_json()
         self.check(t)
 
+    def test_param_keys_in_any_order(self):
+        t = linear_topology([(0, 15, 1.0), (3, 7, 2.0), (1, 2, 0.5)])
+        doc = t.to_dict()
+        for e in doc["edges"]:
+            e["params"] = dict(reversed(list(e["params"].items())))
+        assert np.array_equal(NetworkTopology.from_dict(doc).params, t.params)
+
+    def test_first_bad_param_keys_named(self):
+        # the edges' keys are checked in one pass; the first edge whose keys
+        # differ is reported as an edge-by-edge check reports it
+        doc = linear_topology([(0, 15, 1.0), (3, 7, 2.0), (1, 2, 0.5)]).to_dict()
+        del doc["edges"][1]["params"]["theta"]
+        doc["edges"][2]["params"]["zeta"] = 1.0
+        with pytest.raises(ParameterError, match=r"missing \['theta'\], unknown \[\]"):
+            NetworkTopology.from_dict(doc)
+        doc["edges"][1]["params"]["zeta"] = 1.0
+        with pytest.raises(ParameterError, match=r"missing \['theta'\], unknown \['zeta'\]"):
+            NetworkTopology.from_dict(doc)
+        del doc["edges"][0]["state"]
+        with pytest.raises(KeyError, match="state"):
+            NetworkTopology.from_dict(doc)
+
     @pytest.mark.parametrize("value,match", [
         (True, "^'{}' must be a number, got True$"),
         ("0.2", "^'{}' must be a number, got '0.2'$"),
