@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -51,7 +52,8 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def records_csv(rows: Sequence, fields: Sequence[str] = SweepRecord.CSV_FIELDS) -> str:
+def records_csv(rows: Sequence, fields: Sequence[str] = tuple(
+        f.name for f in dataclasses.fields(SweepRecord))) -> str:
     """CSV text of SweepRecords, or of dicts such as aggregate's rows."""
     lines = [",".join(fields)]
     for row in rows:

@@ -153,14 +153,14 @@ class ParamRanges:
         return cls(np.array(pairs).T)
 
 
-def default_ranges(spread: float = 0.5) -> ParamRanges:
-    """Uniform variation of +-``spread`` around DEFAULT_PARAMS.  Hysteresis
+def default_ranges() -> ParamRanges:
+    """Uniform variation of +-50% around DEFAULT_PARAMS.  Hysteresis
     thresholds and the conductance floor are kept fixed so the per-device
     invariant th_low < th_high cannot be violated by independent draws."""
     fixed = ("th_low", "th_high", "g_floor")
     return ParamRanges(
-        [[x if k in fixed else x * (1.0 - spread) for k, x in DEFAULT_PARAMS.items()],
-         [x if k in fixed else x * (1.0 + spread) for k, x in DEFAULT_PARAMS.items()]])
+        [[x if k in fixed else x * 0.5 for k, x in DEFAULT_PARAMS.items()],
+         [x if k in fixed else x * 1.5 for k, x in DEFAULT_PARAMS.items()]])
 
 
 # ---------------------------------------------------------------------------

@@ -127,18 +127,11 @@ class SweepRecord:
     edge_count: int
     error: str = ""
 
-    CSV_FIELDS = ("alpha", "beta", "xi", "v", "trial", "seed", "entropy_bits",
-                  "energy_joules", "switching_events", "edge_count", "error")
-
 
 def derive_seed(base_seed: int, *coords: int) -> int:
     """Stable per-cell seed from the base seed and cell coordinates."""
     ss = np.random.SeedSequence([int(base_seed), *[int(c) for c in coords]])
     return int(ss.generate_state(1)[0])
-
-
-def member_seed(cell_seed: int, k: int) -> int:
-    return derive_seed(cell_seed, k)
 
 
 def _make_topology(cfg: SweepConfig, alpha: float, beta: float, xi: int, seed: int):
@@ -180,7 +173,7 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
     lowest-index failing member with that member's own error, exactly as
     if the members ran one after another.
     """
-    seeds = [member_seed(seed, k) for k in range(hier.k)]
+    seeds = [derive_seed(seed, k) for k in range(hier.k)]
     topos, failure = [], None
     for k, mseed in enumerate(seeds):
         try:

@@ -98,15 +98,15 @@ class _Assembler:
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
-        grid = topologies[0].grid.to_dict()
-        n = topologies[0].grid.n_nodes
+        grid = topologies[0].grid
+        n = grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
         members = []  # per member: matrix offset, dim, rhs offset, node rows
         ra, rb, offset, dims, ones = [], [], [], [], []
         size = rhs_size = n_edges = 0
         for m, t in enumerate(topologies):
             try:
-                if t.grid.to_dict() != grid:
+                if t.grid != grid:
                     raise ParameterError("lockstep members must share one grid")
                 rows, dim = _rows(t)
             except Exception as exc:

@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import (_PARAM_KEYS, ParamRanges, _ordered, check_params,
-                     default_ranges, sample_device_params)
+                     sample_device_params)
 from .errors import DataError, ParameterError, _integral
 
 log = logging.getLogger(__name__)
@@ -58,13 +57,17 @@ class Grid:
 
     ``subdivision`` supporting posts sit between adjacent interface posts,
     so the full lattice has side interface_dim + (interface_dim-1)*subdivision
-    with unit spacing.
+    with unit spacing.  Node (x, y) has index y * side + x.
     """
 
     interface_dim: int
     subdivision: int
-    positions: np.ndarray        # (n_nodes, 2) float lattice coordinates
-    interface_flags: np.ndarray  # (n_nodes,) bool
+
+    def __post_init__(self):
+        if self.interface_dim < 2:
+            raise ParameterError(f"interface_dim must be >= 2, got {self.interface_dim!r}")
+        if self.subdivision < 0:
+            raise ParameterError(f"subdivision must be >= 0, got {self.subdivision!r}")
 
     @property
     def side(self) -> int:
@@ -72,16 +75,17 @@ class Grid:
 
     @property
     def n_nodes(self) -> int:
-        return self.positions.shape[0]
+        return self.side ** 2
 
     @property
     def n_interface(self) -> int:
-        return int(self.interface_flags.sum())
+        return self.interface_dim ** 2
 
     @property
     def interface_indices(self) -> np.ndarray:
         """Grid-node indices of interface posts, row-major order."""
-        return np.flatnonzero(self.interface_flags)
+        on = np.arange(0, self.side, self.subdivision + 1)
+        return (on[:, None] * self.side + on).ravel()
 
     def to_dict(self) -> dict:
         return {"interface_dim": int(self.interface_dim),
@@ -89,23 +93,13 @@ class Grid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Grid":
-        return build_grid(_integral(d["interface_dim"], "interface_dim", DataError),
-                          _integral(d["subdivision"], "subdivision", DataError))
+        return cls(_integral(d["interface_dim"], "interface_dim", DataError),
+                   _integral(d["subdivision"], "subdivision", DataError))
 
 
 def build_grid(interface_dim: int, s: int) -> Grid:
-    """Build the lattice with ``s`` supporting posts between interface posts."""
-    if interface_dim < 2:
-        raise ParameterError(f"interface_dim must be >= 2, got {interface_dim!r}")
-    if s < 0:
-        raise ParameterError(f"subdivision must be >= 0, got {s!r}")
-    side = interface_dim + (interface_dim - 1) * s
-    ys, xs = np.divmod(np.arange(side * side), side)
-    positions = np.column_stack([xs, ys]).astype(float)
-    pitch = s + 1
-    flags = (xs % pitch == 0) & (ys % pitch == 0)
-    return Grid(interface_dim=interface_dim, subdivision=s,
-                positions=positions, interface_flags=flags)
+    """The lattice with ``s`` supporting posts between interface posts."""
+    return Grid(interface_dim, s)
 
 
 def _distance_rows(side: int) -> np.ndarray:
@@ -157,10 +151,6 @@ class NetworkTopology:
     @property
     def edge_count(self) -> int:
         return self.a.size
-
-    @property
-    def generated_edge_count(self) -> int:
-        return self.a.size - self.n_augmented
 
     def _edge_rows(self):
         return zip(self.a.tolist(), self.b.tolist(), self.params.tolist(),
@@ -225,15 +215,8 @@ class NetworkTopology:
         grid = Grid.from_dict(d["grid"])
         edges = d["edges"]
         keys = _PARAM_KEYS + ("w_prime",)
-        try:  # one pass when every edge has exactly the ten parameter keys
-            params, ordered = [e["params"] for e in edges], itemgetter(*_PARAM_KEYS)
-            if set(map(len, params)) - {len(_PARAM_KEYS)}:
-                raise KeyError
-            values = [x for p, e in zip(params, edges)
-                      for x in (*ordered(p), e["state"]["w_prime"])]
-        except (KeyError, TypeError):  # edge by edge: the first bad edge raises
-            values = [x for e in edges for x in
-                      _ordered(e["params"], "device parameter") + [e["state"]["w_prime"]]]
+        values = [x for e in edges for x in
+                  _ordered(e["params"], "device parameter") + [e["state"]["w_prime"]]]
         # numbers, not booleans, tested once per distinct type
         bad = {t for t in set(map(type, values)) if t is bool or
                not issubclass(t, (int, float, np.integer, np.floating))}
@@ -245,13 +228,9 @@ class NetworkTopology:
             values = np.array(values, dtype=float).reshape(-1, len(keys))
         except OverflowError:
             raise ParameterError("parameter or w_prime beyond the float range") from None
-        ints = [x for e in edges for x in (e["a"], e["b"], e["state"]["w"])]
-        # an int passes as it is; only a document with other types checks
-        # its entries one by one, so the first bad one is named
-        if set(map(type, ints)) - {int}:
-            rules = (("a", DataError), ("b", DataError), ("w", ParameterError))
-            ints = [x if type(x) is int else _integral(x, *rules[i % 3])
-                    for i, x in enumerate(ints)]
+        rules = (("a", DataError), ("b", DataError), ("w", ParameterError))
+        ints = [x if type(x) is int else _integral(x, *rules[i % 3]) for i, x in
+                enumerate(x for e in edges for x in (e["a"], e["b"], e["state"]["w"]))]
         a, b, w = np.array(ints, dtype=int).reshape(-1, 3).T
         t = cls(grid=grid, a=a, b=b, params=values[:, :-1],
                 w_prime=values[:, -1], w=w,
@@ -304,7 +283,7 @@ def _lattice_chain(grid: Grid, u: int, v: int) -> List[Tuple[int, int]]:
 
 
 def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
-                     ranges: Optional[ParamRanges] = None) -> NetworkTopology:
+                     ranges: ParamRanges) -> NetworkTopology:
     """Guarantee an input->ground path, appending lattice chains if needed.
 
     While input and ground are in different components, the closest pair
@@ -317,8 +296,6 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
     labels = _components(t.grid.n_nodes, t.a, t.b)
     if labels[t.input_node] == labels[t.ground_node]:
         return t
-    if ranges is None:
-        ranges = default_ranges()
 
     side = t.grid.side
     chains = []
@@ -373,7 +350,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     for name, node in (("input", input_node), ("ground", ground_node)):
         if not (0 <= node < grid.n_nodes):
             raise ParameterError(f"{name} node {node} outside grid")
-        if not grid.interface_flags[node]:
+        if node not in grid.interface_indices:
             raise ParameterError(f"{name} node {node} is not an interface node")
 
     n_edges = grid.n_nodes * xi if edge_count is None else int(edge_count)

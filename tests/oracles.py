@@ -71,9 +71,15 @@ def solve_resistive_network(n_nodes, edges, input_node, ground_node, v_in):
     return voltages, i_src
 
 
+def positions(grid):
+    """(n_nodes, 2) float lattice coordinates (x, y) of every node."""
+    ys, xs = np.divmod(np.arange(grid.n_nodes), grid.side)
+    return np.column_stack([xs, ys]).astype(float)
+
+
 def distance_map(grid):
     """Pairwise lattice distances over the diagonal, from the n x n differences."""
-    pos = grid.positions
+    pos = positions(grid)
     diff = pos[:, None, :] - pos[None, :, :]
     d = np.sqrt((diff ** 2).sum(axis=2))
     return d / d.max()
@@ -100,7 +106,7 @@ def generate_network(grid, shape, xi, input_node, ground_node, ranges, rng,
     a, b, params = np.array(a), np.array(b), np.array(params)
     n_generated = a.size
 
-    pos = grid.positions
+    pos = positions(grid)
     while True:
         labels = _components(n, a, b)
         if labels[input_node] == labels[ground_node]:

@@ -264,7 +264,7 @@ def test_criterion_10_generation_statistics():
                                  default_ranges(),
                                  np.random.default_rng(derive_seed(ACCEPT_SEED, a, b)),
                                  edge_count=2000)
-            n_gen = t.generated_edge_count
+            n_gen = t.edge_count - t.n_augmented
             lens = dmap[t.a[:n_gen], t.b[:n_gen]]
             means[(a, b)] = np.mean(lens)
         # mu = 2/7 < 1/2 < 10/11

@@ -11,7 +11,7 @@ from rsnsim.device import _PARAM_KEYS, ParamRanges, default_ranges
 from rsnsim.errors import (ConfigError, NumericalError, ParameterError,
                            RsnError)
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
-                            derive_seed, member_seed, run_hierarchy,
+                            derive_seed, run_hierarchy,
                             run_single, run_sweep)
 from rsnsim.solver import TraceBatch, assemble, simulate, sine_waveform
 
@@ -33,7 +33,6 @@ class TestSeeds:
     def test_derivation_deterministic(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
-        assert member_seed(derive_seed(5, 0), 3) == member_seed(derive_seed(5, 0), 3)
 
     def test_rejects_negative_base_seed(self):
         with pytest.raises(ConfigError):
@@ -81,7 +80,7 @@ class TestRunHierarchy:
         hier = HierarchyConfig(k=1, readout_a=2, readout_b=9)
         rec = run_hierarchy(cfg, hier, 1.0, 2.0, 2, 2.0, seed=20)
 
-        topo = harness._make_topology(cfg, 1.0, 2.0, 2, member_seed(20, 0))
+        topo = harness._make_topology(cfg, 1.0, 2.0, 2, derive_seed(20, 0))
         trace = simulate(topo, sine_waveform(2.0, cfg.frequency), cfg.dt,
                          cfg.duration)
         sig = differential_readout(trace, 2, 9)
@@ -96,7 +95,7 @@ class TestRunHierarchy:
         rec = run_hierarchy(cfg, hier, 1.0, 2.0, 2, 2.0, seed=21)
         total = 0.0
         for k in range(4):
-            topo = harness._make_topology(cfg, 1.0, 2.0, 2, member_seed(21, k))
+            topo = harness._make_topology(cfg, 1.0, 2.0, 2, derive_seed(21, k))
             trace = simulate(topo, sine_waveform(2.0, cfg.frequency), cfg.dt,
                              cfg.duration)
             total += energy(trace).energy_joules
@@ -117,7 +116,7 @@ class TestRunHierarchy:
         monkeypatch.setattr(solver, "solve_step", flaky)
         with pytest.raises(Exception) as exc:
             run_hierarchy(cfg, HierarchyConfig(k=4), 1.0, 2.0, 2, 2.0, seed=30)
-        assert f"seed {member_seed(30, 2)}" in str(exc.value)
+        assert f"seed {derive_seed(30, 2)}" in str(exc.value)
         assert "member 2 " in str(exc.value) and "member blew up" in str(exc.value)
 
     def test_lowest_failing_member_is_named(self, monkeypatch):
@@ -142,13 +141,13 @@ class TestRunHierarchy:
         with pytest.raises(RsnError) as exc:
             run_hierarchy(small_config(), HierarchyConfig(k=5), 1.0, 2.0, 2,
                           2.0, seed=31)
-        assert str(exc.value) == (f"hierarchy member 1 (seed {member_seed(31, 1)}) "
+        assert str(exc.value) == (f"hierarchy member 1 (seed {derive_seed(31, 1)}) "
                                   f"failed: member 1 failed (step 5)")
         assert entered == [5]
 
     def test_generation_failure_after_good_members(self, monkeypatch):
         real = harness._make_topology
-        bad_seed = member_seed(32, 2)
+        bad_seed = derive_seed(32, 2)
 
         def make(cfg, alpha, beta, xi, seed):
             if seed == bad_seed:
@@ -204,7 +203,7 @@ class TestLockstep:
         # xi=1 members differ in system size (floating islands) and in
         # the number of edges added for connectivity
         cfg = small_config()
-        topos = [harness._make_topology(cfg, 1.0, 2.0, 1, member_seed(40, k))
+        topos = [harness._make_topology(cfg, 1.0, 2.0, 1, derive_seed(40, k))
                  for k in range(6)]
         dims = {assemble(t, 0.0).matrix.shape[0] for t in topos}
         assert len(dims) > 1 and len({t.n_augmented for t in topos}) > 1

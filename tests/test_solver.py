@@ -358,6 +358,15 @@ class TestSimulate:
                                                   interface_dim=3)],
                      lambda t: 1.0, dt=1e-3, duration=0.01)
         assert exc.value.member == 2 and "one grid" in str(exc.value)
+        good = linear_topology([(0, 48, 1.0)], subdivision=1)
+        for dim, s in ((3, 1), (3, 2)):  # 3x3/s2 has the 49 nodes of 4x4/s1
+            n = build_grid(dim, s).n_nodes
+            other = linear_topology([(0, n - 1, 1.0)], interface_dim=dim,
+                                    subdivision=s)
+            with pytest.raises(ParameterError,
+                               match="lockstep members must share one grid") as exc:
+                simulate([good, other], lambda t: 1.0, dt=1e-3, duration=0.01)
+            assert exc.value.member == 1
 
         real = solver.solve_step
         calls = {"n": 0}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, ParameterError
-from rsnsim.topology import (BetaShape, NetworkTopology, build_grid,
+from rsnsim.topology import (BetaShape, Grid, NetworkTopology, build_grid,
                              distance_map, ensure_connected, generate_network,
                              has_path)
 
@@ -50,8 +50,16 @@ class TestGrid:
         assert g.n_nodes == side * side
         assert g.n_interface == dim * dim
         # interface posts sit on every (s+1)-th lattice position
-        pos = g.positions[g.interface_indices]
+        pos = oracles.positions(g)[g.interface_indices]
         assert np.all(pos % (s + 1) == 0)
+        assert g.interface_indices.size == dim * dim
+        assert np.all(np.diff(g.interface_indices) > 0)
+
+    def test_value_semantics(self):
+        g = build_grid(4, 1)
+        assert Grid(4, 1) == g and hash(Grid(4, 1)) == hash(g)
+        assert Grid(4, 1) != Grid(4, 2)
+        assert Grid.from_dict(g.to_dict()) == g
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):
@@ -106,15 +114,14 @@ class TestGeneration:
         inp, gnd = _iface_corners(g)
         t = generate_network(g, BetaShape(2, 2), 4, inp, gnd,
                              default_ranges(), rng, seed=1)
-        assert t.generated_edge_count == 49 * 4
-        assert t.edge_count == t.generated_edge_count + t.n_augmented
+        assert t.edge_count - t.n_augmented == 49 * 4
 
     def test_edge_count_override(self, rng):
         g = build_grid(4, 1)
         inp, gnd = _iface_corners(g)
         t = generate_network(g, BetaShape(2, 2), 4, inp, gnd,
                              default_ranges(), rng, edge_count=333)
-        assert t.generated_edge_count == 333
+        assert t.edge_count - t.n_augmented == 333
 
     def test_no_self_loops_endpoints_valid(self):
         g = build_grid(4, 1)
@@ -137,7 +144,7 @@ class TestGeneration:
         t = generate_network(g, BetaShape(1, 10), 4, inp, gnd,
                              default_ranges(), rng, edge_count=1000)
         d = distance_map(g)
-        n_gen = t.generated_edge_count
+        n_gen = t.edge_count - t.n_augmented
         lens = d[t.a[:n_gen], t.b[:n_gen]]
         assert abs(np.mean(lens) - 1.0 / 11.0) < 0.05
 
@@ -150,7 +157,7 @@ class TestGeneration:
             t = generate_network(g, BetaShape(a, b), 4, inp, gnd,
                                  default_ranges(),
                                  np.random.default_rng(77), seed=77)
-            n_gen = t.generated_edge_count
+            n_gen = t.edge_count - t.n_augmented
             return np.mean(d[t.a[:n_gen], t.b[:n_gen]])
 
         assert mean_len(10, 1) > mean_len(1, 10)
@@ -339,7 +346,7 @@ class TestEnsureConnected:
         inp, gnd = 0, 15
         t = generate_network(g, BetaShape(1, 1), 4, inp, gnd,
                              default_ranges(), rng, seed=2)
-        assert ensure_connected(t, rng) is t
+        assert ensure_connected(t, rng, default_ranges()) is t
 
     def test_isolated_input_gets_path(self, rng):
         t = self._island_topology()
@@ -354,6 +361,6 @@ class TestEnsureConnected:
 
     def test_chain_edges_are_unit_lattice_steps(self, rng):
         t2 = ensure_connected(self._island_topology(), rng, default_ranges())
-        g = t2.grid
-        steps = np.abs(g.positions[t2.a[1:]] - g.positions[t2.b[1:]]).sum(axis=1)
+        pos = oracles.positions(t2.grid)
+        steps = np.abs(pos[t2.a[1:]] - pos[t2.b[1:]]).sum(axis=1)
         assert np.all(steps == 1.0)
