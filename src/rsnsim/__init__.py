@@ -12,8 +12,8 @@ from .errors import (ConfigError, DataError, NumericalError, ParameterError,
 from .harness import (HierarchyConfig, SweepConfig, SweepRecord, aggregate,
                       derive_seed, run_hierarchy, run_single, run_sweep)
 from .solver import SimulationTrace, TraceBatch, simulate, sine_waveform
-from .topology import (BetaShape, Grid, NetworkTopology, build_grid,
-                       distance_map, ensure_connected, generate_network)
+from .topology import (BetaShape, Grid, NetworkTopology, distance_map,
+                       ensure_connected, generate_network)
 
 __all__ = [
     "__version__",
@@ -22,7 +22,7 @@ __all__ = [
     "HierarchyConfig", "NetworkTopology", "NumericalError",
     "ParamRanges", "ParameterError", "RsnError", "SimulationTrace",
     "SweepConfig", "SweepRecord", "TraceBatch",
-    "advance_state_batch", "aggregate", "build_grid", "check_params",
+    "advance_state_batch", "aggregate", "check_params",
     "conductance_batch", "default_ranges", "derive_seed",
     "differential_readout", "distance_map", "energy", "ensure_connected",
     "entropy", "generate_network", "hysteresis_batch", "run_hierarchy",

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__, config as cfgmod
 from .analysis import energy, entropy
-from .errors import ConfigError, DataError, NumericalError, RsnError
+from .errors import ConfigError, DataError, NumericalError, ParameterError, RsnError
 from .harness import (AGGREGATE_FIELDS, SweepConfig, SweepRecord, aggregate,
                       run_sweep)
 from .solver import SimulationTrace, simulate, sine_waveform
-from .topology import BetaShape, NetworkTopology, build_grid, generate_network, has_path
+from .topology import BetaShape, Grid, NetworkTopology, generate_network, has_path
 
 log = logging.getLogger("rsnsim")
 
@@ -168,25 +168,24 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     g = cfgmod.parse_generate(doc)
-    grid = build_grid(g["interface_dim"], g["subdivision"])
-    iface = grid.interface_indices
-    input_node = int(iface[0]) if g["input_node"] is None else g["input_node"]
-    ground_node = int(iface[-1]) if g["ground_node"] is None else g["ground_node"]
-    rng = np.random.default_rng(g["seed"])
-    topo = generate_network(grid, BetaShape(g["alpha"], g["beta"]), g["xi"],
-                            input_node=input_node, ground_node=ground_node,
-                            ranges=g["ranges"], rng=rng, seed=g["seed"],
-                            edge_count=g["edge_count"])
+    try:
+        topo = generate_network(Grid(g["interface_dim"], g["subdivision"]),
+                                BetaShape(g["alpha"], g["beta"]), g["xi"],
+                                g["ranges"], g["seed"], input_node=g["input_node"],
+                                ground_node=g["ground_node"],
+                                edge_count=g["edge_count"])
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "topology.json")
     write_text_atomic(path, topo.to_json() + "\n")
     cfg_echo = dict(g, ranges=g["ranges"].to_dict(),
-                    input_node=input_node, ground_node=ground_node)
+                    input_node=topo.input_node, ground_node=topo.ground_node)
     write_text_atomic(os.path.join(args.out, "manifest.json"),
                       _manifest("generate", cfg_echo, [g["seed"]], 1))
     print(f"wrote {path}")
     print(f"edges: {topo.edge_count} ({topo.n_augmented} added for connectivity)")
-    print(f"interface nodes: {grid.n_interface} of {grid.n_nodes}")
+    print(f"interface nodes: {topo.grid.n_interface} of {topo.grid.n_nodes}")
     print(f"input->ground connected: {has_path(topo)}")
     return 0
 

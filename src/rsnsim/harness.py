@@ -21,7 +21,7 @@ from .device import ParamRanges, check_decay_mode, default_ranges
 from .errors import ConfigError, ParameterError, RsnError, _finite, _integral
 from .solver import (DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY,
                      simulate, sine_waveform)
-from .topology import BetaShape, build_grid, generate_network
+from .topology import BetaShape, Grid, generate_network
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class SweepConfig:
         if self.edge_count is not None and self.edge_count < 1:
             raise ConfigError(f"edge_count must be >= 1, got {self.edge_count!r}")
         try:
-            build_grid(self.interface_dim, self.subdivision)
+            Grid(self.interface_dim, self.subdivision)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
         for alpha, beta in itertools.product(self.alphas, self.betas):
@@ -135,13 +135,8 @@ def derive_seed(base_seed: int, *coords: int) -> int:
 
 
 def _make_topology(cfg: SweepConfig, alpha: float, beta: float, xi: int, seed: int):
-    grid = build_grid(cfg.interface_dim, cfg.subdivision)
-    iface = grid.interface_indices
-    rng = np.random.default_rng(seed)
-    return generate_network(grid, BetaShape(alpha, beta), xi,
-                            input_node=int(iface[0]),
-                            ground_node=int(iface[-1]),
-                            ranges=cfg.ranges, rng=rng, seed=seed,
+    return generate_network(Grid(cfg.interface_dim, cfg.subdivision),
+                            BetaShape(alpha, beta), xi, cfg.ranges, seed,
                             edge_count=cfg.edge_count)
 
 

@@ -64,6 +64,9 @@ class Grid:
     subdivision: int
 
     def __post_init__(self):
+        for name in ("interface_dim", "subdivision"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name,
+                                                     ParameterError))
         if self.interface_dim < 2:
             raise ParameterError(f"interface_dim must be >= 2, got {self.interface_dim!r}")
         if self.subdivision < 0:
@@ -88,18 +91,12 @@ class Grid:
         return (on[:, None] * self.side + on).ravel()
 
     def to_dict(self) -> dict:
-        return {"interface_dim": int(self.interface_dim),
-                "subdivision": int(self.subdivision)}
+        return {"interface_dim": self.interface_dim, "subdivision": self.subdivision}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Grid":
         return cls(_integral(d["interface_dim"], "interface_dim", DataError),
                    _integral(d["subdivision"], "subdivision", DataError))
-
-
-def build_grid(interface_dim: int, s: int) -> Grid:
-    """The lattice with ``s`` supporting posts between interface posts."""
-    return Grid(interface_dim, s)
 
 
 def _distance_rows(side: int) -> np.ndarray:
@@ -332,17 +329,22 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
 
 
 def generate_network(grid: Grid, shape: BetaShape, xi: int,
-                     input_node: int, ground_node: int,
-                     ranges: ParamRanges, rng: np.random.Generator,
-                     seed: int = 0,
+                     ranges: ParamRanges, seed: int, *,
+                     input_node: Optional[int] = None,
+                     ground_node: Optional[int] = None,
                      edge_count: Optional[int] = None) -> NetworkTopology:
-    """Generate ``grid.n_nodes * xi`` devices (or ``edge_count`` if given).
+    """Generate ``grid.n_nodes * xi`` devices (or ``edge_count`` if given)
+    from ``np.random.default_rng(seed)``; input and ground default to the
+    first and last interface posts.
 
     Per edge: uniform start node, beta-distributed target length, endpoint
     snapped to the node whose normalized distance from the start is nearest
     the draw (uniform tie-break, self excluded), parameters sampled per
     device.  The result is passed through the connectivity pass.
     """
+    iface = grid.interface_indices
+    input_node = int(iface[0]) if input_node is None else input_node
+    ground_node = int(iface[-1]) if ground_node is None else ground_node
     if xi < 1:
         raise ParameterError(f"indegree xi must be >= 1, got {xi!r}")
     if input_node == ground_node:
@@ -350,13 +352,14 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     for name, node in (("input", input_node), ("ground", ground_node)):
         if not (0 <= node < grid.n_nodes):
             raise ParameterError(f"{name} node {node} outside grid")
-        if node not in grid.interface_indices:
+        if node not in iface:
             raise ParameterError(f"{name} node {node} is not an interface node")
 
     n_edges = grid.n_nodes * xi if edge_count is None else int(edge_count)
     if n_edges < 1:
         raise ParameterError(f"requested edge count {n_edges} < 1")
 
+    rng = np.random.default_rng(seed)
     side = grid.side
     rows = _distance_rows(side)
     n = grid.n_nodes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsnsim.device import _PARAM_KEYS, check_params
-from rsnsim.topology import NetworkTopology, build_grid
+from rsnsim.topology import Grid, NetworkTopology
 
 
 def stamped_edges(t):
@@ -34,7 +34,7 @@ def linear_topology(edges, input_node=0, ground_node=None, interface_dim=4,
 
     ``edges`` is a list of (a, b, conductance) over grid node indices.
     """
-    grid = build_grid(interface_dim, subdivision)
+    grid = Grid(interface_dim, subdivision)
     if ground_node is None:
         ground_node = grid.n_nodes - 1
     n = len(edges)

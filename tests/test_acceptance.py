@@ -19,7 +19,7 @@ from rsnsim.device import default_ranges
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
                             derive_seed, run_hierarchy, run_single, run_sweep)
 from rsnsim.solver import assemble, simulate, sine_waveform, solve_step
-from rsnsim.topology import BetaShape, build_grid, distance_map, generate_network
+from rsnsim.topology import BetaShape, Grid, distance_map, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
 from tests.oracles import solve_resistive_network
@@ -153,11 +153,7 @@ def test_criterion_03_circuit_oracle_equivalence():
 
         # device networks: solve_step enforces the residual contract at
         # every step, so completion certifies it
-        g = build_grid(4, 1)
-        topo = generate_network(g, BetaShape(5, 1), 4,
-                                int(g.interface_indices[0]),
-                                int(g.interface_indices[-1]), default_ranges(),
-                                np.random.default_rng(1200), seed=1200)
+        topo = generate_network(Grid(4, 1), BetaShape(5, 1), 4, default_ranges(), 1200)
         simulate(topo, sine_waveform(8.0), dt=1e-3, duration=1.0)
 
 
@@ -254,16 +250,12 @@ def test_criterion_10_generation_statistics():
             p = scipy.stats.kstest(x, scipy.stats.beta(a, b).cdf).pvalue
             assert p > 0.01
 
-        grid = build_grid(4, 2)
+        grid = Grid(4, 2)
         dmap = distance_map(grid)
         means = {}
         for a, b in shapes:
-            t = generate_network(grid, BetaShape(a, b), 4,
-                                 int(grid.interface_indices[0]),
-                                 int(grid.interface_indices[-1]),
-                                 default_ranges(),
-                                 np.random.default_rng(derive_seed(ACCEPT_SEED, a, b)),
-                                 edge_count=2000)
+            t = generate_network(grid, BetaShape(a, b), 4, default_ranges(),
+                                 derive_seed(ACCEPT_SEED, a, b), edge_count=2000)
             n_gen = t.edge_count - t.n_augmented
             lens = dmap[t.a[:n_gen], t.b[:n_gen]]
             means[(a, b)] = np.mean(lens)

@@ -146,13 +146,11 @@ class TestEnergy:
         res = energy(make_trace(np.zeros(10), np.zeros(10)))
         assert res.energy_joules == 0.0
 
-    def test_simulated_energy_nonnegative(self, rng):
+    def test_simulated_energy_nonnegative(self):
         from rsnsim.device import default_ranges
-        from rsnsim.topology import BetaShape, build_grid, generate_network
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(3, 1), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=21)
+        from rsnsim.topology import BetaShape, Grid, generate_network
+        t = generate_network(Grid(4, 1), BetaShape(3, 1), 4,
+                             default_ranges(), 20240811)
         trace = simulate(t, sine_waveform(4.0), dt=1e-3, duration=0.2)
         assert energy(trace).energy_joules >= 0.0
 

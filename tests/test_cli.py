@@ -10,6 +10,7 @@ from rsnsim import cli
 from rsnsim.cli import main
 from rsnsim.device import default_ranges
 from rsnsim.solver import SimulationTrace
+from rsnsim.topology import BetaShape, Grid, generate_network
 
 
 def write_json(path, doc):
@@ -19,6 +20,11 @@ def write_json(path, doc):
 
 GEN_DOC = {"interface_dim": 4, "subdivision": 1, "alpha": 2.0, "beta": 5.0,
            "xi": 4, "seed": 7}
+README_GEN_DOC = {"interface_dim": 4, "subdivision": 1, "alpha": 10, "beta": 1,
+                  "xi": 4, "seed": 7}
+# short wires strand the input: seed 0 needs augmented edges
+SHORT_GEN_DOC = {"interface_dim": 4, "subdivision": 1, "alpha": 1, "beta": 10,
+                 "xi": 1, "seed": 0, "input_node": 2, "ground_node": 46}
 SWEEP_DOC = {"alphas": [1.0, 2.0], "betas": [5.0], "xis": [2], "amplitudes": [2.0],
              "trials": 2, "base_seed": 5, "duration": 0.05}
 
@@ -73,6 +79,34 @@ class TestGenerate:
         assert doc["command"] == "generate"
         assert doc["seeds"] == [7]
         assert doc["config"]["alpha"] == 2.0
+        # the terminals generate chose: the first and last interface posts
+        assert (doc["config"]["input_node"], doc["config"]["ground_node"]) == (0, 48)
+
+    @pytest.mark.parametrize("doc", [README_GEN_DOC, SHORT_GEN_DOC])
+    def test_recorded_seed_regenerates_file(self, tmp_path, doc):
+        cfg = write_json(tmp_path / "gen.json", doc)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "topology.json").read_text()
+        saved = json.loads(text)
+        if doc is SHORT_GEN_DOC:
+            assert saved["n_augmented"] > 0
+            assert (saved["input_node"], saved["ground_node"]) == (2, 46)
+        topo = generate_network(Grid.from_dict(saved["grid"]),
+                                BetaShape(doc["alpha"], doc["beta"]), doc["xi"],
+                                default_ranges(), saved["seed"],
+                                input_node=saved["input_node"],
+                                ground_node=saved["ground_node"])
+        assert topo.to_json() + "\n" == text
+
+    @pytest.mark.parametrize("over", [
+        {"xi": 0}, {"interface_dim": 1}, {"alpha": 0}, {"edge_count": 0},
+        {"input_node": 1}, {"input_node": 99}, {"ground_node": 0},
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, caplog, over):
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_DOC, **over))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "config error:" in caplog.text
+        assert not (tmp_path / "topology.json").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_json(tmp_path / "gen.json", GEN_DOC)

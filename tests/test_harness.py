@@ -58,6 +58,13 @@ class TestRunSingle:
         b = run_single(cfg, 1.0, 2.0, 2, 2.0, seed=13)
         assert a == b
 
+    def test_topology_carries_the_record_seed(self):
+        cfg = small_config(alphas=(1.0,), trials=1)
+        (rec,) = run_sweep(cfg)
+        topo = harness._make_topology(cfg, rec.alpha, rec.beta, rec.xi, rec.seed)
+        assert topo.seed == rec.seed
+        assert topo.edge_count == rec.edge_count
+
     def test_edge_count_recorded(self):
         cfg = small_config(interface_dim=4, subdivision=1)
         rec = run_single(cfg, 1.0, 2.0, 3, 2.0, seed=14)

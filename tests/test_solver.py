@@ -10,7 +10,7 @@ from rsnsim.errors import DataError, NumericalError, ParameterError
 from rsnsim import device, solver
 from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
                            sine_waveform, solve_step)
-from rsnsim.topology import BetaShape, _components, build_grid, generate_network
+from rsnsim.topology import BetaShape, Grid, _components, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
 from tests.oracles import lagged_run, solve_resistive_network
@@ -84,7 +84,7 @@ class TestAssembleSolve:
 
 def _random_linear_topology(rng, n_edges=30, interface_dim=3, subdivision=0):
     """Random fixed-conductance multigraph over a 9-node lattice."""
-    grid = build_grid(interface_dim, subdivision)
+    grid = Grid(interface_dim, subdivision)
     n = grid.n_nodes
     edges = []
     for _ in range(n_edges):
@@ -145,13 +145,11 @@ class TestLaggedReference:
     @pytest.mark.parametrize("amplitude", [1.0, 8.0])
     @pytest.mark.parametrize("n_members", [1, 3])
     def test_bit_equal_to_reference_loop(self, n_members, amplitude, decimation):
-        g = build_grid(4, 1)
-        ends = int(g.interface_indices[0]), int(g.interface_indices[-1])
+        g = Grid(4, 1)
         # seeds whose networks leave at least two nodes off the ground component
-        members = [_with_island(generate_network(
-            g, BetaShape(1, 5), 2, *ends, default_ranges(),
-            np.random.default_rng(seed), seed=seed))
-            for seed in (700, 706, 709)[:n_members]]
+        members = [_with_island(generate_network(g, BetaShape(1, 5), 2,
+                                                 default_ranges(), seed))
+                   for seed in (700, 706, 709)[:n_members]]
         dt, n_steps = 1e-3, 200
         wave = sine_waveform(amplitude)
         got = simulate(members if n_members > 1 else members[0], wave, dt=dt,
@@ -181,10 +179,8 @@ class TestPowerBalance:
     def test_source_power_equals_dissipation(self, monkeypatch, amplitude):
         # Tellegen's theorem: at every step the source delivers the power
         # the devices dissipate, each stamped with g + g_floor
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(5, 1), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             np.random.default_rng(1200), seed=1200)
+        t = generate_network(Grid(4, 1), BetaShape(5, 1), 4,
+                             default_ranges(), 1200)
         floors = t.params[:, _PARAM_KEYS.index("g_floor")]
         steps = []
         real_g, real_solve = device.conductance_batch, solver.solve_step
@@ -249,20 +245,16 @@ class TestSimulate:
         mid = trace.interface_voltages[:, 5]
         assert np.abs(mid - 0.5 * trace.applied_voltage).max() < 1e-12
 
-    def test_ground_column_zero_input_column_waveform(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=3)
+    def test_ground_column_zero_input_column_waveform(self):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4,
+                             default_ranges(), 20240811)
         trace = simulate(t, sine_waveform(2.0), dt=1e-3, duration=0.1)
         assert np.all(trace.interface_voltages[:, -1] == 0.0)
         assert np.abs(trace.interface_voltages[:, 0] - trace.applied_voltage).max() < 1e-9
 
-    def test_deterministic_reruns(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(5, 1), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=4)
+    def test_deterministic_reruns(self):
+        t = generate_network(Grid(4, 1), BetaShape(5, 1), 4,
+                             default_ranges(), 20240811)
         a = simulate(t, sine_waveform(4.0), dt=1e-3, duration=0.2)
         b = simulate(t, sine_waveform(4.0), dt=1e-3, duration=0.2)
         assert np.array_equal(a.interface_voltages, b.interface_voltages)
@@ -271,20 +263,16 @@ class TestSimulate:
         # and the stored topology state was never mutated
         assert np.all(t.w_prime == 0.0) and np.all(t.w == 0)
 
-    def test_passivity(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(3, 3), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=5)
+    def test_passivity(self):
+        t = generate_network(Grid(4, 1), BetaShape(3, 3), 4,
+                             default_ranges(), 20240811)
         trace = simulate(t, sine_waveform(4.0), dt=1e-3, duration=0.3)
         power = trace.applied_voltage * trace.source_current
         assert power.min() >= -1e-12
 
-    def test_switching_monotone_in_amplitude(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(10, 1), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=6)
+    def test_switching_monotone_in_amplitude(self):
+        t = generate_network(Grid(4, 1), BetaShape(10, 1), 4,
+                             default_ranges(), 20240811)
         lo = simulate(t, sine_waveform(1.0), dt=1e-3, duration=0.5)
         hi = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.5)
         assert hi.switching_events >= lo.switching_events
@@ -296,11 +284,9 @@ class TestSimulate:
         assert trace.n_steps == 20
         assert trace.dt == pytest.approx(5e-3)
 
-    def test_decimated_rows_and_energy(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=8)
+    def test_decimated_rows_and_energy(self):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4,
+                             default_ranges(), 20240811)
         full = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.1)
         assert full.every_step is None
         for d in (7, 5000):
@@ -360,7 +346,7 @@ class TestSimulate:
         assert exc.value.member == 2 and "one grid" in str(exc.value)
         good = linear_topology([(0, 48, 1.0)], subdivision=1)
         for dim, s in ((3, 1), (3, 2)):  # 3x3/s2 has the 49 nodes of 4x4/s1
-            n = build_grid(dim, s).n_nodes
+            n = Grid(dim, s).n_nodes
             other = linear_topology([(0, n - 1, 1.0)], interface_dim=dim,
                                     subdivision=s)
             with pytest.raises(ParameterError,
@@ -508,11 +494,9 @@ class TestReadCsv:
         assert back.switching_events == 0
         return back
 
-    def test_simulated_trace_bit_equal(self, rng, tmp_path):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=8)
+    def test_simulated_trace_bit_equal(self, tmp_path):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4,
+                             default_ranges(), 20240811)
         path = tmp_path / "trace.csv"
         path.write_text(simulate(t, sine_waveform(8.0), dt=1e-3,
                                  duration=0.3).to_csv())
@@ -565,11 +549,9 @@ def loop_csv(trace):
 
 
 class TestTraceCsvBytes:
-    def test_simulated_traces(self, rng):
-        g = build_grid(4, 1)
-        t = generate_network(g, BetaShape(2, 2), 4, int(g.interface_indices[0]),
-                             int(g.interface_indices[-1]), default_ranges(),
-                             rng, seed=8)
+    def test_simulated_traces(self):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4,
+                             default_ranges(), 20240811)
         for decimation in (1, 7):
             trace = simulate(t, sine_waveform(8.0), dt=1e-3, duration=0.2,
                              decimation=decimation)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, ParameterError
-from rsnsim.topology import (BetaShape, Grid, NetworkTopology, build_grid,
-                             distance_map, ensure_connected, generate_network,
-                             has_path)
+from rsnsim.topology import (BetaShape, Grid, NetworkTopology, distance_map,
+                             ensure_connected, generate_network, has_path)
 
 from tests import oracles
 from tests.conftest import linear_topology
@@ -26,18 +25,18 @@ def _iface_corners(grid):
 
 class TestGrid:
     def test_no_subdivision_all_interface(self):
-        g = build_grid(4, 0)
+        g = Grid(4, 0)
         assert g.n_nodes == 16
         assert g.n_interface == 16
 
     def test_one_subdivision(self):
-        g = build_grid(4, 1)
+        g = Grid(4, 1)
         assert g.side == 7
         assert g.n_nodes == 49
         assert g.n_interface == 16
 
     def test_two_subdivisions(self):
-        g = build_grid(4, 2)
+        g = Grid(4, 2)
         assert g.side == 10
         assert g.n_nodes == 100
         assert g.n_interface == 16
@@ -45,7 +44,7 @@ class TestGrid:
     @given(dim=st.integers(2, 6), s=st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
     def test_node_count_formula(self, dim, s):
-        g = build_grid(dim, s)
+        g = Grid(dim, s)
         side = dim + (dim - 1) * s
         assert g.n_nodes == side * side
         assert g.n_interface == dim * dim
@@ -56,43 +55,53 @@ class TestGrid:
         assert np.all(np.diff(g.interface_indices) > 0)
 
     def test_value_semantics(self):
-        g = build_grid(4, 1)
+        g = Grid(4, 1)
         assert Grid(4, 1) == g and hash(Grid(4, 1)) == hash(g)
         assert Grid(4, 1) != Grid(4, 2)
         assert Grid.from_dict(g.to_dict()) == g
+        # integral sizes of other types are the same grid, and generate
+        h = Grid(4.0, np.int64(1))
+        assert h == g and hash(h) == hash(g) and h.to_dict() == g.to_dict()
+        assert type(h.interface_dim) is int and type(h.subdivision) is int
+        t = generate_network(h, BetaShape(2, 2), 1, default_ranges(), 0)
+        assert t.to_json() == generate_network(g, BetaShape(2, 2), 1,
+                                               default_ranges(), 0).to_json()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):
-            build_grid(1, 0)
+            Grid(1, 0)
         with pytest.raises(ParameterError):
-            build_grid(4, -1)
+            Grid(4, -1)
+        for bad in ((4.5, 1), (True, 1), (4, 1.5), (4, False), ("4", 1)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                Grid(*bad)
 
 
 class TestDistanceMap:
     def test_normalization_anchor(self):
-        g = build_grid(4, 1)
+        g = Grid(4, 1)
         d = distance_map(g)
         assert d[0, g.n_nodes - 1] == 1.0
         assert d.max() == 1.0
 
     def test_self_distance_zero(self):
-        d = distance_map(build_grid(4, 1))
+        d = distance_map(Grid(4, 1))
         assert np.all(np.diag(d) == 0.0)
 
     def test_adjacent_interface_nodes(self):
         # interface pitch 2 on the side-7 lattice, diagonal 6*sqrt(2)
-        g = build_grid(4, 1)
+        g = Grid(4, 1)
         d = distance_map(g)
         i0, i1 = g.interface_indices[0], g.interface_indices[1]
         assert d[i0, i1] == pytest.approx(2.0 / (6.0 * math.sqrt(2)), rel=1e-12)
 
     @pytest.mark.parametrize("dim,s", LATTICES)
     def test_matches_pairwise_formula(self, dim, s):
-        g = build_grid(dim, s)
+        g = Grid(dim, s)
         assert np.array_equal(distance_map(g), oracles.distance_map(g))
 
     def test_symmetry_and_triangle_inequality(self, rng):
-        d = distance_map(build_grid(3, 1))
+        d = distance_map(Grid(3, 1))
         assert np.allclose(d, d.T)
         n = d.shape[0]
         for _ in range(200):
@@ -109,27 +118,20 @@ class TestBetaSampling:
 
 
 class TestGeneration:
-    def test_edge_count_rule(self, rng):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
-        t = generate_network(g, BetaShape(2, 2), 4, inp, gnd,
-                             default_ranges(), rng, seed=1)
+    def test_edge_count_rule(self):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4, default_ranges(),
+                             20240811)
         assert t.edge_count - t.n_augmented == 49 * 4
 
-    def test_edge_count_override(self, rng):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
-        t = generate_network(g, BetaShape(2, 2), 4, inp, gnd,
-                             default_ranges(), rng, edge_count=333)
+    def test_edge_count_override(self):
+        t = generate_network(Grid(4, 1), BetaShape(2, 2), 4, default_ranges(),
+                             20240811, edge_count=333)
         assert t.edge_count - t.n_augmented == 333
 
     def test_no_self_loops_endpoints_valid(self):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
+        g = Grid(4, 1)
         for seed in range(5):
-            t = generate_network(g, BetaShape(1, 3), 2, inp, gnd,
-                                 default_ranges(),
-                                 np.random.default_rng(seed), seed=seed)
+            t = generate_network(g, BetaShape(1, 3), 2, default_ranges(), seed)
             assert np.all(t.a != t.b)
             assert np.all((0 <= t.a) & (t.a < g.n_nodes))
             assert np.all((0 <= t.b) & (t.b < g.n_nodes))
@@ -138,61 +140,54 @@ class TestGeneration:
 
     def test_short_wire_snapped_mean(self):
         # fine 10x10 lattice: snapping bias stays small
-        g = build_grid(4, 2)
-        inp, gnd = _iface_corners(g)
-        rng = np.random.default_rng(31)
-        t = generate_network(g, BetaShape(1, 10), 4, inp, gnd,
-                             default_ranges(), rng, edge_count=1000)
+        g = Grid(4, 2)
+        t = generate_network(g, BetaShape(1, 10), 4, default_ranges(), 31,
+                             edge_count=1000)
         d = distance_map(g)
         n_gen = t.edge_count - t.n_augmented
         lens = d[t.a[:n_gen], t.b[:n_gen]]
         assert abs(np.mean(lens) - 1.0 / 11.0) < 0.05
 
     def test_long_vs_short_wire_means(self):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
+        g = Grid(4, 1)
         d = distance_map(g)
 
         def mean_len(a, b):
-            t = generate_network(g, BetaShape(a, b), 4, inp, gnd,
-                                 default_ranges(),
-                                 np.random.default_rng(77), seed=77)
+            t = generate_network(g, BetaShape(a, b), 4, default_ranges(), 77)
             n_gen = t.edge_count - t.n_augmented
             return np.mean(d[t.a[:n_gen], t.b[:n_gen]])
 
         assert mean_len(10, 1) > mean_len(1, 10)
 
     def test_deterministic_serialization(self):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
-
         def gen():
-            return generate_network(g, BetaShape(2, 5), 4, inp, gnd,
-                                    default_ranges(),
-                                    np.random.default_rng(123), seed=123)
+            return generate_network(Grid(4, 1), BetaShape(2, 5), 4,
+                                    default_ranges(), 123)
 
         assert gen().to_json() == gen().to_json()
 
-    def test_json_roundtrip(self, rng):
-        g = build_grid(3, 1)
-        inp, gnd = _iface_corners(g)
-        t = generate_network(g, BetaShape(2, 5), 3, inp, gnd,
-                             default_ranges(), rng, seed=5)
+    def test_json_roundtrip(self):
+        t = generate_network(Grid(3, 1), BetaShape(2, 5), 3, default_ranges(),
+                             20240811)
         back = NetworkTopology.from_json(t.to_json())
         assert back.to_json() == t.to_json()
         assert back.edge_count == t.edge_count
         assert back.input_node == t.input_node
 
-    def test_rejects_bad_arguments(self, rng):
-        g = build_grid(4, 1)
-        inp, gnd = _iface_corners(g)
+    def test_rejects_bad_arguments(self):
+        g = Grid(4, 1)
+        args = (g, BetaShape(1, 1), 2, default_ranges(), 20240811)
         with pytest.raises(ParameterError):
-            generate_network(g, BetaShape(1, 1), 0, inp, gnd, default_ranges(), rng)
+            generate_network(g, BetaShape(1, 1), 0, default_ranges(), 20240811)
         with pytest.raises(ParameterError):
-            generate_network(g, BetaShape(1, 1), 2, inp, inp, default_ranges(), rng)
+            generate_network(*args, ground_node=0)
         with pytest.raises(ParameterError):
             # node 1 is a supporting node on the subdivided lattice
-            generate_network(g, BetaShape(1, 1), 2, 1, gnd, default_ranges(), rng)
+            generate_network(*args, input_node=1)
+        with pytest.raises(ParameterError):
+            generate_network(*args, input_node=99)
+        with pytest.raises(ParameterError):
+            generate_network(*args, edge_count=0)
 
 
 class TestGenerationReference:
@@ -205,11 +200,14 @@ class TestGenerationReference:
                              [(2, 5, 1, 11), (1, 1, 2, 12), (5, 2, 3, 13), (10, 1, 4, 14)]
                              + [(1, 10, 1, seed) for seed in range(6)])
     def test_matches_reference_search(self, dim, s, alpha, beta, xi, seed):
-        g = build_grid(dim, s)
+        g = Grid(dim, s)
         inp, gnd = _iface_corners(g)
-        args = (g, BetaShape(alpha, beta), xi, inp, gnd, default_ranges())
-        t = generate_network(*args, np.random.default_rng(seed), seed=seed)
-        ref = oracles.generate_network(*args, np.random.default_rng(seed), seed=seed)
+        t = generate_network(g, BetaShape(alpha, beta), xi, default_ranges(), seed)
+        ref = oracles.generate_network(g, BetaShape(alpha, beta), xi, inp, gnd,
+                                       default_ranges(), np.random.default_rng(seed),
+                                       seed=seed)
+        # the default terminals are the first and last interface posts
+        assert (t.input_node, t.ground_node, t.seed) == (inp, gnd, seed)
         for name in ("a", "b", "params", "w_prime", "w"):
             assert np.array_equal(getattr(t, name), getattr(ref, name)), name
         assert t.n_augmented == ref.n_augmented
@@ -219,13 +217,10 @@ class TestGenerationReference:
     @pytest.mark.parametrize("seed,augmented", [(0, 133), (3, 1)])
     def test_memory_grows_with_nodes_not_pairs(self, seed, augmented):
         # an n x n map of the 841-node lattice alone takes 5.7 MB
-        g = build_grid(8, 3)
-        inp, gnd = _iface_corners(g)
-        args = (g, BetaShape(1, 10), 1, inp, gnd, default_ranges(),
-                np.random.default_rng(seed))
+        args = (Grid(8, 3), BetaShape(1, 10), 1, default_ranges(), seed)
         tracemalloc.start()
         try:
-            t = generate_network(*args, seed=seed)
+            t = generate_network(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,11 +240,9 @@ class TestJson:
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_json_dumps(self, dim, s, seed):
         # short wires: most of these topologies carry augmented edges
-        g = build_grid(dim, s)
-        inp, gnd = _iface_corners(g)
+        t = generate_network(Grid(dim, s), BetaShape(1, 10), 1, default_ranges(),
+                             seed)
         rng = np.random.default_rng(seed)
-        t = generate_network(g, BetaShape(1, 10), 1, inp, gnd, default_ranges(),
-                             rng, seed=seed)
         t.w_prime = rng.uniform(0.0, 1.0, t.edge_count)
         t.w_prime[:3] = (0.0, 1.0, 5e-324)
         t.w = rng.integers(0, 2, t.edge_count)
@@ -342,10 +335,8 @@ class TestEnsureConnected:
         return linear_topology([(1, 2, 1.0)], input_node=0, ground_node=15)
 
     def test_connected_input_returned_unchanged(self, rng):
-        g = build_grid(4, 0)
-        inp, gnd = 0, 15
-        t = generate_network(g, BetaShape(1, 1), 4, inp, gnd,
-                             default_ranges(), rng, seed=2)
+        t = generate_network(Grid(4, 0), BetaShape(1, 1), 4, default_ranges(),
+                             20240811)
         assert ensure_connected(t, rng, default_ranges()) is t
 
     def test_isolated_input_gets_path(self, rng):
