@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, NumericalError, ParameterError, RsnE
 from .harness import (AGGREGATE_FIELDS, SweepConfig, SweepRecord, aggregate,
                       run_sweep)
 from .solver import SimulationTrace, simulate, sine_waveform
-from .topology import BetaShape, Grid, NetworkTopology, generate_network, has_path
+from .topology import BetaShape, Grid, NetworkTopology, generate_network
 
 log = logging.getLogger("rsnsim")
 
@@ -169,9 +169,10 @@ def cmd_generate(args) -> int:
         doc["seed"] = args.seed
     g = cfgmod.parse_generate(doc)
     try:
-        topo = generate_network(Grid(g["interface_dim"], g["subdivision"]),
-                                BetaShape(g["alpha"], g["beta"]), g["xi"],
-                                g["ranges"], g["seed"], input_node=g["input_node"],
+        grid = Grid(g["interface_dim"], g["subdivision"])
+        shape = BetaShape(g["alpha"], g["beta"])
+        topo = generate_network(grid, shape, g["xi"], g["ranges"], g["seed"],
+                                input_node=g["input_node"],
                                 ground_node=g["ground_node"],
                                 edge_count=g["edge_count"])
     except ParameterError as exc:
@@ -179,14 +180,17 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "topology.json")
     write_text_atomic(path, topo.to_json() + "\n")
-    cfg_echo = dict(g, ranges=g["ranges"].to_dict(),
+    # the values generation accepted, as integers and floats
+    edge_count = None if g["edge_count"] is None else int(g["edge_count"])
+    cfg_echo = dict(grid.to_dict(), alpha=shape.alpha, beta=shape.beta,
+                    xi=int(g["xi"]), edge_count=edge_count,
+                    ranges=g["ranges"].to_dict(), seed=topo.seed,
                     input_node=topo.input_node, ground_node=topo.ground_node)
     write_text_atomic(os.path.join(args.out, "manifest.json"),
-                      _manifest("generate", cfg_echo, [g["seed"]], 1))
+                      _manifest("generate", cfg_echo, [topo.seed], 1))
     print(f"wrote {path}")
     print(f"edges: {topo.edge_count} ({topo.n_augmented} added for connectivity)")
     print(f"interface nodes: {topo.grid.n_interface} of {topo.grid.n_nodes}")
-    print(f"input->ground connected: {has_path(topo)}")
     return 0
 
 

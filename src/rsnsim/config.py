@@ -16,8 +16,10 @@ from .errors import ConfigError, _finite, _integral
 from .harness import HierarchyConfig, SweepConfig
 from .solver import DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY
 
-GENERATE_KEYS = {"interface_dim", "subdivision", "alpha", "beta", "xi",
-                 "edge_count", "ranges", "seed", "input_node", "ground_node"}
+_GENERATE_DEFAULTS = {"interface_dim": 4, "subdivision": 1, "alpha": 1.0,
+                      "beta": 1.0, "xi": 4, "edge_count": None, "seed": 0,
+                      "input_node": None, "ground_node": None}
+GENERATE_KEYS = {"ranges", *_GENERATE_DEFAULTS}
 SIMULATE_KEYS = {"amplitude", "frequency", "dt", "duration", "decay_mode",
                  "decimation"}
 SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
@@ -30,8 +32,6 @@ def load_config_file(path: Optional[str]) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -65,26 +65,10 @@ def parse_ranges(doc: dict) -> ParamRanges:
 
 
 def parse_generate(doc: dict) -> dict:
+    """``doc`` over the defaults, with ``ranges`` parsed; ``BetaShape`` and
+    ``generate_network`` apply the value rules."""
     check_keys(doc, GENERATE_KEYS, "generate config")
-
-    def opt(key):
-        return None if doc.get(key) is None else _int(doc[key], key)
-
-    out = {
-        "interface_dim": _int(doc.get("interface_dim", 4), "interface_dim"),
-        "subdivision": _int(doc.get("subdivision", 1), "subdivision"),
-        "alpha": _float(doc.get("alpha", 1.0), "alpha"),
-        "beta": _float(doc.get("beta", 1.0), "beta"),
-        "xi": _int(doc.get("xi", 4), "xi"),
-        "edge_count": opt("edge_count"),
-        "ranges": parse_ranges(doc),
-        "seed": _int(doc.get("seed", 0), "seed"),
-        "input_node": opt("input_node"),
-        "ground_node": opt("ground_node"),
-    }
-    if out["seed"] < 0:
-        raise ConfigError("'seed' must be >= 0")
-    return out
+    return {**_GENERATE_DEFAULTS, **doc, "ranges": parse_ranges(doc)}
 
 
 def parse_simulate(doc: dict) -> dict:

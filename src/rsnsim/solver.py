@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import device as dev
-from .errors import DataError, NumericalError, ParameterError, _integral
+from .errors import DataError, NumericalError, ParameterError, _finite, _integral
 from .topology import NetworkTopology, _components
 
 _EPS = float(np.finfo(float).eps)
@@ -40,14 +40,17 @@ class LinearSystem:
     itself (rows given by ``node_rows``; ground and floating-island nodes
     map to -1) followed by the source branch current.  ``rhs`` is zero
     except in the last row, the source row, which holds the source voltage.
-    The conductance block is symmetric.  Each device is stamped with
-    max(G, g_floor) + g_floor: the device kernel floors its conductance,
-    and the assembler adds a parallel g_floor path.  With that positive
-    floor on every edge the reduced system is nonsingular.  ``diag_max[0]``
-    is the largest diagonal entry of ``matrix``.  ``_gather`` is a buffer
-    longer than the unknowns whose last entry stays 0: ``solve_step``
-    copies the unknowns to its start and gathers the node voltages from it
-    by ``node_rows``, so row -1 reads 0 V.
+    The conductance block is symmetric up to rounding: entry (i, j) sums the
+    devices stamped i->j before those stamped j->i, entry (j, i) the other
+    way round, so the two can differ in the last bit where one node pair
+    carries 3 or more devices in both orientations.  Each device is
+    stamped with max(G, g_floor) + g_floor: the device kernel floors its
+    conductance, and the assembler adds a parallel g_floor path.  With that
+    positive floor on every edge the reduced system is nonsingular.
+    ``diag_max[0]`` is the largest diagonal entry of ``matrix``.
+    ``_gather`` is a buffer longer than the unknowns whose last entry stays
+    0: ``solve_step`` copies the unknowns to its start and gathers the node
+    voltages from it by ``node_rows``, so row -1 reads 0 V.
     """
 
     matrix: np.ndarray
@@ -334,9 +337,11 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     members = [topologies] if single else list(topologies)
     if not members:
         raise ParameterError("no topology to simulate")
-    if not (math.isfinite(dt) and dt > 0.0):
+    dt = _finite(dt, "dt", ParameterError)
+    duration = _finite(duration, "duration", ParameterError)
+    if not dt > 0.0:
         raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(duration) and duration >= dt):
+    if not duration >= dt:
         raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
     decimation = _integral(decimation, "decimation", ParameterError)
     if decimation < 1:

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import (_PARAM_KEYS, ParamRanges, _ordered, check_params,
                      sample_device_params)
-from .errors import DataError, ParameterError, _integral
+from .errors import DataError, ParameterError, _finite, _integral
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +45,12 @@ class BetaShape:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name,
+                                                   ParameterError))
+        if self.alpha <= 0.0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha!r}")
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
+        if self.beta <= 0.0:
             raise ParameterError(f"beta must be > 0, got {self.beta!r}")
 
 
@@ -263,12 +266,6 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([find(i) for i in range(n_nodes)], dtype=int)
 
 
-def has_path(t: NetworkTopology) -> bool:
-    """True if some chain of devices joins the input node to ground."""
-    labels = _components(t.grid.n_nodes, t.a, t.b)
-    return labels[t.input_node] == labels[t.ground_node]
-
-
 def _lattice_chain(grid: Grid, u: int, v: int) -> List[Tuple[int, int]]:
     """Unit steps of an L-shaped lattice path from node u to node v: along
     x on u's row, then along y on v's column."""
@@ -334,17 +331,26 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
                      ground_node: Optional[int] = None,
                      edge_count: Optional[int] = None) -> NetworkTopology:
     """Generate ``grid.n_nodes * xi`` devices (or ``edge_count`` if given)
-    from ``np.random.default_rng(seed)``; input and ground default to the
-    first and last interface posts.
+    from ``np.random.default_rng(seed)``, ``seed >= 0``; input and ground
+    default to the first and last interface posts.  An integer argument that
+    is a boolean or not integral raises ParameterError.
 
     Per edge: uniform start node, beta-distributed target length, endpoint
     snapped to the node whose normalized distance from the start is nearest
     the draw (uniform tie-break, self excluded), parameters sampled per
     device.  The result is passed through the connectivity pass.
     """
+    xi = _integral(xi, "xi", ParameterError)
+    if edge_count is not None:
+        edge_count = _integral(edge_count, "edge_count", ParameterError)
+    seed = _integral(seed, "seed", ParameterError)
     iface = grid.interface_indices
-    input_node = int(iface[0]) if input_node is None else input_node
-    ground_node = int(iface[-1]) if ground_node is None else ground_node
+    input_node = _integral(iface[0] if input_node is None else input_node,
+                           "input_node", ParameterError)
+    ground_node = _integral(iface[-1] if ground_node is None else ground_node,
+                            "ground_node", ParameterError)
+    if seed < 0:
+        raise ParameterError("'seed' must be >= 0")
     if xi < 1:
         raise ParameterError(f"indegree xi must be >= 1, got {xi!r}")
     if input_node == ground_node:
@@ -355,7 +361,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
         if node not in iface:
             raise ParameterError(f"{name} node {node} is not an interface node")
 
-    n_edges = grid.n_nodes * xi if edge_count is None else int(edge_count)
+    n_edges = grid.n_nodes * xi if edge_count is None else edge_count
     if n_edges < 1:
         raise ParameterError(f"requested edge count {n_edges} < 1")
 
@@ -385,5 +391,5 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     t = NetworkTopology(grid=grid, a=a, b=b, params=params,
                         w_prime=np.zeros(n_edges), w=np.zeros(n_edges, dtype=int),
                         input_node=input_node, ground_node=ground_node,
-                        seed=int(seed), n_augmented=0)
+                        seed=seed, n_augmented=0)
     return ensure_connected(t, rng, ranges)

@@ -57,7 +57,6 @@ class TestGenerate:
         assert len(doc["edges"]) - doc["n_augmented"] == 196
         out = capsys.readouterr().out
         assert "interface nodes: 16" in out
-        assert "connected: True" in out
 
     def test_flat_grid(self, tmp_path):
         cfg = write_json(tmp_path / "gen.json", dict(GEN_DOC, subdivision=0, xi=2))
@@ -81,6 +80,24 @@ class TestGenerate:
         assert doc["config"]["alpha"] == 2.0
         # the terminals generate chose: the first and last interface posts
         assert (doc["config"]["input_node"], doc["config"]["ground_node"]) == (0, 48)
+
+    def test_manifest_echoes_accepted_values(self, tmp_path):
+        # integral floats are the integers they equal, and an integer alpha
+        # is the float it equals: both configs echo the same values
+        twin = {"interface_dim": 4.0, "subdivision": 1.0, "alpha": 10, "beta": 1.0,
+                "xi": 4.0, "seed": 7.0, "edge_count": 150.0, "input_node": 0.0}
+        ints = {"interface_dim": 4, "subdivision": 1, "alpha": 10.0, "beta": 1,
+                "xi": 4, "seed": 7, "edge_count": 150, "input_node": 0}
+        for name, doc in (("a", twin), ("b", ints)):
+            cfg = write_json(tmp_path / f"{name}.json", doc)
+            assert main(["generate", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("manifest.json", "topology.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes()
+        doc = json.loads((tmp_path / "a/manifest.json").read_text())
+        assert doc["seeds"] == [7]
+        assert doc["config"]["xi"] == 4 and doc["config"]["edge_count"] == 150
 
     @pytest.mark.parametrize("doc", [README_GEN_DOC, SHORT_GEN_DOC])
     def test_recorded_seed_regenerates_file(self, tmp_path, doc):

@@ -50,6 +50,18 @@ class TestAssembleSolve:
         g_block = sys.matrix[:-1, :-1]
         assert np.array_equal(g_block, g_block.T)
 
+    def test_generated_block_symmetric_to_rounding(self):
+        # Entry (i, j) sums a pair's i->j devices before its j->i devices and
+        # (j, i) the other way round, so they may differ in the last bit, as
+        # they do in each of these four networks.
+        eps = np.finfo(float).eps
+        for seed in range(4):
+            t = generate_network(Grid(4, 1), BetaShape(1, 5), 4,
+                                 default_ranges(), seed)
+            g_block = assemble(t, 1.0).matrix[:-1, :-1]
+            assert np.all(np.abs(g_block - g_block.T)
+                          <= 4 * eps * np.abs(g_block))
+
     def test_floating_island_pinned_at_zero(self):
         # nodes 3 and 7 form an island no current can reach
         t = linear_topology([(0, 15, 1.0), (3, 7, 1.0)])
@@ -323,6 +335,12 @@ class TestSimulate:
             with pytest.raises(ParameterError, match="decimation"):
                 simulate(island, lambda t: 1.0, dt=1e-3, duration=0.01,
                          decimation=d)
+        # dt and duration are finite numbers, not booleans or strings
+        for dt in (True, "x"):
+            with pytest.raises(ParameterError, match="'dt'"):
+                simulate(island, lambda t: 1.0, dt=dt, duration=2.0)
+        with pytest.raises(ParameterError, match="'duration'"):
+            simulate(island, lambda t: 1.0, dt=1e-3, duration=True)
 
     def test_sequence_gives_trace_batch(self):
         t = linear_topology([(0, 15, 1.0)])

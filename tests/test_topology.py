@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, ParameterError
 from rsnsim.topology import (BetaShape, Grid, NetworkTopology, distance_map,
-                             ensure_connected, generate_network, has_path)
+                             ensure_connected, generate_network)
 
 from tests import oracles
 from tests.conftest import linear_topology
@@ -115,6 +115,14 @@ class TestBetaSampling:
             BetaShape(0, 1)
         with pytest.raises(ParameterError):
             BetaShape(1, -2)
+        # the number rule of config files: no booleans, strings or NaN
+        for bad in (True, "2", float("nan")):
+            with pytest.raises(ParameterError, match="'alpha'"):
+                BetaShape(bad, 1)
+            with pytest.raises(ParameterError, match="'beta'"):
+                BetaShape(1, bad)
+        shape = BetaShape(10, 1)
+        assert type(shape.alpha) is float and shape.alpha == 10.0
 
 
 class TestGeneration:
@@ -128,7 +136,7 @@ class TestGeneration:
                              20240811, edge_count=333)
         assert t.edge_count - t.n_augmented == 333
 
-    def test_no_self_loops_endpoints_valid(self):
+    def test_no_self_loops_endpoints_valid(self, rng):
         g = Grid(4, 1)
         for seed in range(5):
             t = generate_network(g, BetaShape(1, 3), 2, default_ranges(), seed)
@@ -136,7 +144,7 @@ class TestGeneration:
             assert np.all((0 <= t.a) & (t.a < g.n_nodes))
             assert np.all((0 <= t.b) & (t.b < g.n_nodes))
             assert np.all(t.w_prime == 0.0) and np.all(t.w == 0)
-            assert has_path(t)
+            assert ensure_connected(t, rng, default_ranges()) is t
 
     def test_short_wire_snapped_mean(self):
         # fine 10x10 lattice: snapping bias stays small
@@ -188,6 +196,22 @@ class TestGeneration:
             generate_network(*args, input_node=99)
         with pytest.raises(ParameterError):
             generate_network(*args, edge_count=0)
+        # integers by the package's number rule, and a seed >= 0
+        for xi in (2.5, True):
+            with pytest.raises(ParameterError, match="'xi'"):
+                generate_network(g, BetaShape(1, 1), xi, default_ranges(), 20240811)
+        for seed in (-1, 1.5):
+            with pytest.raises(ParameterError, match="'seed'"):
+                generate_network(*args[:-1], seed)
+        with pytest.raises(ParameterError, match="'edge_count'"):
+            generate_network(*args, edge_count=2.5)
+        for node in (2.5, True):
+            with pytest.raises(ParameterError, match="'input_node'"):
+                generate_network(*args, input_node=node)
+        # integral floats and numpy integers are integers
+        t = generate_network(*args[:-1], np.int64(3), input_node=2.0)
+        assert (t.input_node, t.seed) == (2, 3)
+        assert type(t.input_node) is int and type(t.seed) is int
 
 
 class TestGenerationReference:
@@ -341,9 +365,9 @@ class TestEnsureConnected:
 
     def test_isolated_input_gets_path(self, rng):
         t = self._island_topology()
-        assert not has_path(t)
         t2 = ensure_connected(t, rng, default_ranges())
-        assert has_path(t2)
+        assert t2 is not t
+        assert ensure_connected(t2, rng, default_ranges()) is t2
         assert t2.n_augmented == t2.edge_count - 1
 
     def test_idempotent_after_first_call(self, rng):
