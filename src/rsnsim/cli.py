@@ -195,18 +195,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = cfgmod.load_config_file(args.config)
-    s = cfgmod.parse_simulate(doc)
+    s = cfgmod.parse_simulate(cfgmod.load_config_file(args.config))
     with open(args.topology) as f:
         text = f.read()
+    unusable = f"topology file {args.topology} is not usable"
     try:
         topo = NetworkTopology.from_json(text)
     except Exception as exc:
-        raise DataError(f"topology file {args.topology} is not usable: {exc}") \
-            from None
-    trace = simulate(topo, sine_waveform(s["amplitude"], s["frequency"]),
-                     s["dt"], s["duration"], decay_mode=s["decay_mode"],
-                     decimation=s["decimation"])
+        raise DataError(f"{unusable}: {exc}") from None
+    try:
+        trace = simulate(topo, sine_waveform(s["amplitude"], s["frequency"]),
+                         s["dt"], s["duration"], decay_mode=s["decay_mode"],
+                         decimation=s["decimation"])
+    except ParameterError as exc:
+        # set-up errors name the member; the others are about the settings
+        if hasattr(exc, "member"):
+            raise DataError(f"{unusable}: {exc}") from None
+        raise ConfigError(str(exc)) from None
+    # the values simulate accepted, as floats and an integer
+    s = dict(s, decimation=int(s["decimation"]), **{
+        k: float(s[k]) for k in ("amplitude", "frequency", "dt", "duration")})
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     write_text_atomic(trace_path, trace.to_csv())

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from functools import partial
 from typing import Optional
 
-from .device import ParamRanges, check_decay_mode, default_ranges
-from .errors import ConfigError, _finite, _integral
+from .device import ParamRanges, default_ranges
+from .errors import ConfigError
 from .harness import HierarchyConfig, SweepConfig
 from .solver import DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY
 
@@ -20,8 +19,10 @@ _GENERATE_DEFAULTS = {"interface_dim": 4, "subdivision": 1, "alpha": 1.0,
                       "beta": 1.0, "xi": 4, "edge_count": None, "seed": 0,
                       "input_node": None, "ground_node": None}
 GENERATE_KEYS = {"ranges", *_GENERATE_DEFAULTS}
-SIMULATE_KEYS = {"amplitude", "frequency", "dt", "duration", "decay_mode",
-                 "decimation"}
+_SIMULATE_DEFAULTS = {"amplitude": 1.0, "frequency": DEFAULT_FREQUENCY,
+                      "dt": DEFAULT_DT, "duration": DEFAULT_DURATION,
+                      "decay_mode": "state_dependent", "decimation": 1}
+SIMULATE_KEYS = set(_SIMULATE_DEFAULTS)
 SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
 HIERARCHY_KEYS = SWEEP_KEYS | {f.name for f in fields(HierarchyConfig)}
 
@@ -45,13 +46,6 @@ def check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
-# Integers and finite numbers, by the rules that check topology files and
-# ranges; booleans, strings, non-integral or non-finite values are config
-# errors.
-_int = partial(_integral, error=ConfigError)
-_float = partial(_finite, error=ConfigError)
-
-
 def parse_ranges(doc: dict) -> ParamRanges:
     raw = doc.get("ranges")
     if raw is None:
@@ -72,21 +66,10 @@ def parse_generate(doc: dict) -> dict:
 
 
 def parse_simulate(doc: dict) -> dict:
+    """``doc`` over the defaults; ``sine_waveform`` and ``simulate`` apply
+    the value rules."""
     check_keys(doc, SIMULATE_KEYS, "simulate config")
-    out = {
-        "amplitude": _float(doc.get("amplitude", 1.0), "amplitude"),
-        "frequency": _float(doc.get("frequency", DEFAULT_FREQUENCY), "frequency"),
-        "dt": _float(doc.get("dt", DEFAULT_DT), "dt"),
-        "duration": _float(doc.get("duration", DEFAULT_DURATION), "duration"),
-        "decay_mode": doc.get("decay_mode", "state_dependent"),
-        "decimation": _int(doc.get("decimation", 1), "decimation"),
-    }
-    if out["dt"] <= 0 or out["duration"] < out["dt"]:
-        raise ConfigError("need dt > 0 and duration >= dt")
-    if out["decimation"] < 1:
-        raise ConfigError("'decimation' must be >= 1")
-    check_decay_mode(out["decay_mode"], ConfigError)
-    return out
+    return {**_SIMULATE_DEFAULTS, **doc}
 
 
 def parse_sweep(doc: dict) -> SweepConfig:

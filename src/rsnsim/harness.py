@@ -20,7 +20,7 @@ from .analysis import differential_readout, energy, entropy
 from .device import ParamRanges, check_decay_mode, default_ranges
 from .errors import ConfigError, ParameterError, RsnError, _finite, _integral
 from .solver import (DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY,
-                     simulate, sine_waveform)
+                     _MAX_STEPS, simulate, sine_waveform)
 from .topology import BetaShape, Grid, generate_network
 
 
@@ -69,8 +69,8 @@ class SweepConfig:
         check_decay_mode(self.decay_mode, ConfigError)
         if not isinstance(self.center, bool):
             raise ConfigError(f"'center' must be true or false, got {self.center!r}")
-        if self.dt <= 0 or self.duration < self.dt:
-            raise ConfigError("need dt > 0 and duration >= dt")
+        if not (0 < self.dt <= self.duration and self.duration / self.dt < _MAX_STEPS):
+            raise ConfigError("need dt > 0, duration >= dt and duration / dt < 2**53")
         if min(self.xis) < 1:
             raise ConfigError(f"xis must be >= 1, got {self.xis!r}")
         if self.edge_count is not None and self.edge_count < 1:

@@ -24,10 +24,14 @@ _EPS = float(np.finfo(float).eps)
 DEFAULT_FREQUENCY = 5.0  # Hz
 DEFAULT_DT = 1e-3        # s
 DEFAULT_DURATION = 1.0   # s
+# duration / dt must stay below this: float64 counts steps exactly below it
+_MAX_STEPS = 2 ** 53
 
 
 def sine_waveform(amplitude: float, frequency: float = DEFAULT_FREQUENCY) -> Callable[[float], float]:
-    """v(t) = amplitude * sin(2*pi*frequency*t)."""
+    """v(t) = amplitude * sin(2*pi*frequency*t); both are finite numbers."""
+    amplitude = _finite(amplitude, "amplitude", ParameterError)
+    frequency = _finite(frequency, "frequency", ParameterError)
     two_pi_f = 2.0 * math.pi * frequency
     return lambda t: amplitude * math.sin(two_pi_f * t)
 
@@ -347,6 +351,8 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     if decimation < 1:
         raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
     dev.check_decay_mode(decay_mode)
+    if not duration / dt < _MAX_STEPS:
+        raise ParameterError(f"duration / dt must be < 2**53, got {duration / dt!r}")
     n_steps = int(round(duration / dt))
 
     asm = _Assembler(members)

@@ -185,16 +185,39 @@ class TestSimulate:
                (tmp_path / "b/trace.csv").read_bytes()
 
     def test_bad_value_exits_1(self, tmp_path, topo_file, caplog):
-        for key, value in (("amplitude", True), ("amplitude", "8"),
-                           ("amplitude", float("nan")), ("dt", False),
-                           ("frequency", float("inf")), ("amplitude", 10 ** 400),
-                           ("decay_mode", "bogus"), ("decay_mode", 3)):
+        for key, doc in (("amplitude", {"amplitude": True}),
+                         ("amplitude", {"amplitude": "8"}),
+                         ("amplitude", {"amplitude": float("nan")}),
+                         ("dt", {"dt": False}),
+                         ("frequency", {"frequency": float("inf")}),
+                         ("amplitude", {"amplitude": 10 ** 400}),
+                         ("decay_mode", {"decay_mode": "bogus"}),
+                         ("decay_mode", {"decay_mode": 3}),
+                         ("duration / dt", {"dt": 1e-300, "duration": 1e300}),
+                         ("amplitude", {"amplitude": "x", "dt": 0})):
             caplog.clear()
-            cfg = write_json(tmp_path / "sim.json", {key: value})
+            cfg = write_json(tmp_path / "sim.json", doc)
             assert main(["simulate", "--topology", topo_file, "--config", cfg,
-                         "--out", str(tmp_path / "out")]) == 1, (key, value)
+                         "--out", str(tmp_path / "out")]) == 1, doc
             assert key in caplog.text and "config error:" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_manifest_echoes_accepted_values(self, tmp_path, topo_file):
+        # integers are the floats they equal, and an integral float
+        # decimation the integer: both configs write the same files
+        floats = {"amplitude": 8.0, "frequency": 5.0, "dt": 0.001,
+                  "duration": 0.05, "decimation": 2.0}
+        ints = {"amplitude": 8, "frequency": 5, "dt": 0.001, "duration": 0.05,
+                "decimation": 2}
+        for name, doc in (("a", floats), ("b", ints)):
+            cfg = write_json(tmp_path / f"{name}.json", doc)
+            assert main(["simulate", "--topology", topo_file, "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("manifest.json", "summary.json", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes()
+        doc = json.loads((tmp_path / "a/manifest.json").read_text())
+        assert doc["config"]["amplitude"] == 8.0 and doc["config"]["decimation"] == 2
 
     def test_energy_independent_of_decimation(self, tmp_path, topo_file,
                                               monkeypatch):
@@ -255,7 +278,10 @@ class TestSimulate:
                      lambda d: d["edges"][3]["state"].update(w_prime=True),
                      lambda d: d["edges"][3]["state"].update(w_prime="0.5"),
                      lambda d: d["edges"][3].update(b=d["edges"][3]["a"]),
-                     lambda d: d.update(ground_node=d["input_node"])):
+                     lambda d: d.update(ground_node=d["input_node"]),
+                     # no input->ground path
+                     lambda d: d.update(edges=[e for e in d["edges"] if
+                                               d["ground_node"] not in (e["a"], e["b"])])):
             doc = json.loads(open(topo_file).read())
             edit(doc)
             write_json(bad, doc)

@@ -335,7 +335,9 @@ class TestRunSweep:
                     # values that would fail every record
                     dict(alphas=(0,)), dict(betas=(-1,)), dict(xis=(0,)),
                     dict(xis=(2.5,)), dict(interface_dim=1),
-                    dict(subdivision=-1), dict(edge_count=0)):
+                    dict(subdivision=-1), dict(edge_count=0),
+                    # step counts that overflow or cannot be allocated
+                    dict(dt=1e-300, duration=1e300), dict(dt=1e-12, duration=1e6)):
             with pytest.raises(ConfigError):
                 small_config(**bad)
         with pytest.raises(ConfigError, match="readout label 99"):

@@ -341,6 +341,14 @@ class TestSimulate:
                 simulate(island, lambda t: 1.0, dt=dt, duration=2.0)
         with pytest.raises(ParameterError, match="'duration'"):
             simulate(island, lambda t: 1.0, dt=1e-3, duration=True)
+        # a step count float64 cannot count exactly, checked before set-up
+        with pytest.raises(ParameterError, match="duration / dt"):
+            simulate(island, lambda t: 1.0, dt=1e-300, duration=1e300)
+
+    def test_sine_waveform_takes_finite_numbers(self):
+        for args in ((True,), ("8",), (math.nan,), (2.0, math.inf)):
+            with pytest.raises(ParameterError, match="must be a finite number"):
+                sine_waveform(*args)
 
     def test_sequence_gives_trace_batch(self):
         t = linear_topology([(0, 15, 1.0)])
