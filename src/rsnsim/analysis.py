@@ -94,16 +94,20 @@ def energy(trace: SimulationTrace) -> EnergyResult:
                         mean_power=e / duration)
 
 
+def check_readout(n_interface: int, node_a: int, node_b: int) -> None:
+    """Raise ParameterError unless the labels differ and lie in 1..n_interface."""
+    if node_a == node_b:
+        raise ParameterError("readout nodes must differ")
+    for label in (node_a, node_b):
+        if not (1 <= label <= n_interface):
+            raise ParameterError(f"readout label {label} outside 1..{n_interface}")
+
+
 def differential_readout(trace: SimulationTrace, node_a: int, node_b: int) -> np.ndarray:
     """Per-step voltage difference between two interface nodes.
 
     Nodes are 1-based interface labels matching the trace CSV header
     (node_1 ... node_N).
     """
-    n = trace.n_interface
-    if node_a == node_b:
-        raise ParameterError("readout nodes must differ")
-    for label in (node_a, node_b):
-        if not (1 <= label <= n):
-            raise ParameterError(f"interface label {label} outside 1..{n}")
+    check_readout(trace.n_interface, node_a, node_b)
     return trace.interface_voltages[:, node_a - 1] - trace.interface_voltages[:, node_b - 1]

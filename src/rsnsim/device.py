@@ -84,10 +84,10 @@ def check_params(rows) -> None:
                              f"got ({float(low[i])!r}, {float(high[i])!r})")
 
 
-def check_decay_mode(mode, error: type = ParameterError) -> None:
-    """Raise ``error`` unless ``mode`` is one of DECAY_MODES."""
+def check_decay_mode(mode) -> None:
+    """Raise ParameterError unless ``mode`` is one of DECAY_MODES."""
     if not (isinstance(mode, str) and mode in DECAY_MODES):
-        raise error(f"decay_mode must be one of {DECAY_MODES}, got {mode!r}")
+        raise ParameterError(f"decay_mode must be one of {DECAY_MODES}, got {mode!r}")
 
 
 def _ordered(d: dict, what: str) -> list:

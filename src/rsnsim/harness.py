@@ -16,12 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import differential_readout, energy, entropy
-from .device import ParamRanges, check_decay_mode, default_ranges
+from .analysis import check_readout, differential_readout, energy, entropy
+from .device import ParamRanges, default_ranges
 from .errors import ConfigError, ParameterError, RsnError, _finite, _integral
 from .solver import (DEFAULT_DT, DEFAULT_DURATION, DEFAULT_FREQUENCY,
-                     _MAX_STEPS, simulate, sine_waveform)
-from .topology import BetaShape, Grid, generate_network
+                     check_settings, simulate, sine_waveform)
+from .topology import BetaShape, Grid, edge_total, generate_network
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class SweepConfig:
 
     def __post_init__(self):
         """Apply the number rules of config files to every field and reject,
-        before any run, a value that would fail every record."""
+        before any run, a value that would fail every record: a rule's owner
+        raises ParameterError, raised again here as ConfigError."""
         def put(name, value):
             object.__setattr__(self, name, value)
 
@@ -55,8 +56,7 @@ class SweepConfig:
         put("xis", tuple(_integral(x, "xis", ConfigError) for x in self.xis))
         for name in ("trials", "base_seed", "interface_dim", "subdivision"):
             put(name, _integral(getattr(self, name), name, ConfigError))
-        for name in ("dt", "duration", "frequency"):
-            put(name, _finite(getattr(self, name), name, ConfigError))
+        put("frequency", _finite(self.frequency, "frequency", ConfigError))
         if self.edge_count is not None:
             put("edge_count", _integral(self.edge_count, "edge_count", ConfigError))
         for name in ("alphas", "betas", "xis", "amplitudes"):
@@ -66,25 +66,25 @@ class SweepConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
-        check_decay_mode(self.decay_mode, ConfigError)
         if not isinstance(self.center, bool):
             raise ConfigError(f"'center' must be true or false, got {self.center!r}")
-        if not (0 < self.dt <= self.duration and self.duration / self.dt < _MAX_STEPS):
-            raise ConfigError("need dt > 0, duration >= dt and duration / dt < 2**53")
-        if min(self.xis) < 1:
-            raise ConfigError(f"xis must be >= 1, got {self.xis!r}")
-        if self.edge_count is not None and self.edge_count < 1:
-            raise ConfigError(f"edge_count must be >= 1, got {self.edge_count!r}")
+        where = ""
         try:
-            Grid(self.interface_dim, self.subdivision)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
-        for alpha, beta in itertools.product(self.alphas, self.betas):
-            try:
+            dt, duration, _, n_steps = check_settings(self.dt, self.duration, 1,
+                                                      self.decay_mode)
+            grid = Grid(self.interface_dim, self.subdivision)
+            for xi in self.xis:
+                where = f"xis x edge_count cell ({xi!r}, {self.edge_count!r}): "
+                edge_total(grid, xi, self.edge_count)
+            for alpha, beta in itertools.product(self.alphas, self.betas):
+                where = f"alphas x betas cell ({alpha!r}, {beta!r}): "
                 BetaShape(alpha, beta)
-            except ParameterError as exc:
-                raise ConfigError(f"alphas x betas cell ({alpha!r}, {beta!r}): "
-                                  f"{exc}") from None
+        except ParameterError as exc:
+            raise ConfigError(where + str(exc)) from None
+        if n_steps < 2:
+            raise ConfigError(f"duration / dt gives {n_steps} step, too few for entropy")
+        put("dt", dt)
+        put("duration", duration)
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ class HierarchyConfig:
                                _integral(getattr(self, name), name, ConfigError))
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k!r}")
-        if self.readout_a == self.readout_b:
-            raise ConfigError("readout nodes must differ")
-        for label in (self.readout_a, self.readout_b):
-            if label < 1:
-                raise ConfigError(f"readout label {label} must be >= 1")
 
 
 @dataclass
@@ -168,6 +163,7 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
     lowest-index failing member with that member's own error, exactly as
     if the members ran one after another.
     """
+    check_readout(cfg.interface_dim ** 2, hier.readout_a, hier.readout_b)
     seeds = [derive_seed(seed, k) for k in range(hier.k)]
     topos, failure = [], None
     for k, mseed in enumerate(seeds):
@@ -230,15 +226,15 @@ def run_sweep(cfg: SweepConfig, workers: int = 1,
 
     Results are returned in canonical cell order regardless of worker
     count, so identical configs always produce identical record lists.
-    Readout labels beyond the ``interface_dim**2`` interface nodes raise
-    ConfigError before any run.
+    Readout labels that ``check_readout`` rejects raise ConfigError before
+    any run.
     """
     if hierarchy is not None:
-        n_iface = cfg.interface_dim ** 2
-        for label in (hierarchy.readout_a, hierarchy.readout_b):
-            if label > n_iface:
-                raise ConfigError(f"readout label {label} exceeds the {n_iface} "
-                                  f"interface nodes")
+        try:
+            check_readout(cfg.interface_dim ** 2, hierarchy.readout_a,
+                          hierarchy.readout_b)
+        except ParameterError as exc:
+            raise ConfigError(f"readout_a, readout_b: {exc}") from None
     items = [(cfg, hierarchy, cell) for cell in _cells(cfg)]
     if workers <= 1:
         return [_run_item(it) for it in items]

@@ -311,6 +311,23 @@ class TraceBatch(tuple):
         return sum(trace.switching_events for trace in self)
 
 
+def check_settings(dt, duration, decimation, decay_mode) -> tuple:
+    """``simulate``'s settings as (dt, duration, decimation, step count)."""
+    dt = _finite(dt, "dt", ParameterError)
+    duration = _finite(duration, "duration", ParameterError)
+    if not dt > 0.0:
+        raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
+    if not duration >= dt:
+        raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
+    decimation = _integral(decimation, "decimation", ParameterError)
+    if decimation < 1:
+        raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
+    dev.check_decay_mode(decay_mode)
+    if not duration / dt < _MAX_STEPS:
+        raise ParameterError(f"duration / dt must be < 2**53, got {duration / dt!r}")
+    return dt, duration, decimation, int(round(duration / dt))
+
+
 def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
              waveform: Callable[[float], float],
              dt: float = DEFAULT_DT, duration: float = DEFAULT_DURATION, *,
@@ -341,19 +358,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     members = [topologies] if single else list(topologies)
     if not members:
         raise ParameterError("no topology to simulate")
-    dt = _finite(dt, "dt", ParameterError)
-    duration = _finite(duration, "duration", ParameterError)
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
-    if not duration >= dt:
-        raise ParameterError(f"duration must be finite and >= dt, got {duration!r}")
-    decimation = _integral(decimation, "decimation", ParameterError)
-    if decimation < 1:
-        raise ParameterError(f"decimation must be >= 1, got {decimation!r}")
-    dev.check_decay_mode(decay_mode)
-    if not duration / dt < _MAX_STEPS:
-        raise ParameterError(f"duration / dt must be < 2**53, got {duration / dt!r}")
-    n_steps = int(round(duration / dt))
+    dt, duration, decimation, n_steps = check_settings(dt, duration, decimation, decay_mode)
 
     asm = _Assembler(members)
     p = asm.p
@@ -370,10 +375,13 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     # The source series are kept at every step (the energy needs them), the
     # interface voltages only at the recorded rows.
     n_rec = len(range(0, n_steps, decimation))
-    times = np.empty(n_rec)
-    iface_v = np.empty((n_members, n_rec, iface.shape[1]))
-    v_in_all = np.empty(n_steps)
-    i_src_all = np.empty((n_members, n_steps))
+    try:
+        times = np.empty(n_rec)
+        iface_v = np.empty((n_members, n_rec, iface.shape[1]))
+        v_in_all = np.empty(n_steps)
+        i_src_all = np.empty((n_members, n_steps))
+    except MemoryError:
+        raise ParameterError(f"{n_steps} steps do not fit in memory") from None
 
     # Members 0..live-1 are solved; a failing member and those above it
     # drop out, their voltages left as they were.

@@ -325,6 +325,19 @@ def ensure_connected(t: NetworkTopology, rng: np.random.Generator,
                            seed=t.seed, n_augmented=t.n_augmented + added)
 
 
+def edge_total(grid: Grid, xi: int, edge_count: Optional[int]) -> int:
+    """``generate_network``'s device count, ``grid.n_nodes * xi`` or ``edge_count``."""
+    xi = _integral(xi, "xi", ParameterError)
+    if xi < 1:
+        raise ParameterError(f"indegree xi must be >= 1, got {xi!r}")
+    if edge_count is None:
+        return grid.n_nodes * xi
+    edge_count = _integral(edge_count, "edge_count", ParameterError)
+    if edge_count < 1:
+        raise ParameterError(f"edge_count must be >= 1, got {edge_count!r}")
+    return edge_count
+
+
 def generate_network(grid: Grid, shape: BetaShape, xi: int,
                      ranges: ParamRanges, seed: int, *,
                      input_node: Optional[int] = None,
@@ -340,9 +353,7 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
     the draw (uniform tie-break, self excluded), parameters sampled per
     device.  The result is passed through the connectivity pass.
     """
-    xi = _integral(xi, "xi", ParameterError)
-    if edge_count is not None:
-        edge_count = _integral(edge_count, "edge_count", ParameterError)
+    n_edges = edge_total(grid, xi, edge_count)
     seed = _integral(seed, "seed", ParameterError)
     iface = grid.interface_indices
     input_node = _integral(iface[0] if input_node is None else input_node,
@@ -351,19 +362,11 @@ def generate_network(grid: Grid, shape: BetaShape, xi: int,
                             "ground_node", ParameterError)
     if seed < 0:
         raise ParameterError("'seed' must be >= 0")
-    if xi < 1:
-        raise ParameterError(f"indegree xi must be >= 1, got {xi!r}")
     if input_node == ground_node:
         raise ParameterError("input and ground nodes must differ")
     for name, node in (("input", input_node), ("ground", ground_node)):
-        if not (0 <= node < grid.n_nodes):
-            raise ParameterError(f"{name} node {node} outside grid")
         if node not in iface:
             raise ParameterError(f"{name} node {node} is not an interface node")
-
-    n_edges = grid.n_nodes * xi if edge_count is None else edge_count
-    if n_edges < 1:
-        raise ParameterError(f"requested edge count {n_edges} < 1")
 
     rng = np.random.default_rng(seed)
     side = grid.side

@@ -194,6 +194,7 @@ class TestSimulate:
                          ("decay_mode", {"decay_mode": "bogus"}),
                          ("decay_mode", {"decay_mode": 3}),
                          ("duration / dt", {"dt": 1e-300, "duration": 1e300}),
+                         ("steps do not fit", {"dt": 1e-12, "duration": 1e3}),
                          ("amplitude", {"amplitude": "x", "dt": 0})):
             caplog.clear()
             cfg = write_json(tmp_path / "sim.json", doc)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,14 +7,16 @@ import numpy as np
 import pytest
 
 from rsnsim import harness, solver
-from rsnsim.analysis import differential_readout, energy, entropy
+from rsnsim.analysis import check_readout, differential_readout, energy, entropy
 from rsnsim.device import _PARAM_KEYS, ParamRanges, default_ranges
 from rsnsim.errors import (ConfigError, NumericalError, ParameterError,
                            RsnError)
 from rsnsim.harness import (HierarchyConfig, SweepConfig, aggregate,
                             derive_seed, run_hierarchy,
                             run_single, run_sweep)
-from rsnsim.solver import TraceBatch, assemble, simulate, sine_waveform
+from rsnsim.solver import (TraceBatch, assemble, check_settings, simulate,
+                           sine_waveform)
+from rsnsim.topology import Grid, edge_total
 
 
 def small_config(**over):
@@ -198,11 +201,25 @@ class TestRunHierarchy:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             HierarchyConfig(k=0)
-        with pytest.raises(ConfigError):
-            HierarchyConfig(readout_a=3, readout_b=3)
         for bad in (dict(k=2.5), dict(readout_a=True), dict(readout_b=9.5)):
             with pytest.raises(ConfigError):
                 HierarchyConfig(**bad)
+        # the readout labels are checked against the grid by the runs
+        same = HierarchyConfig(readout_a=3, readout_b=3)
+        with pytest.raises(ConfigError, match="readout nodes must differ"):
+            run_sweep(small_config(), hierarchy=same)
+        with pytest.raises(ParameterError, match="readout nodes must differ"):
+            run_hierarchy(small_config(), same, 1.0, 2.0, 2, 2.0, seed=1)
+
+    def test_readout_labels_checked_before_any_member(self, monkeypatch):
+        calls = []
+        make = harness._make_topology
+        monkeypatch.setattr(harness, "_make_topology",
+                            lambda *args: calls.append(args) or make(*args))
+        for hier in (HierarchyConfig(readout_b=99), HierarchyConfig(readout_a=0)):
+            with pytest.raises(ParameterError, match="readout label"):
+                run_hierarchy(small_config(), hier, 1.0, 2.0, 2, 2.0, seed=1)
+        assert calls == []
 
 
 class TestLockstep:
@@ -337,8 +354,49 @@ class TestRunSweep:
                     dict(xis=(2.5,)), dict(interface_dim=1),
                     dict(subdivision=-1), dict(edge_count=0),
                     # step counts that overflow or cannot be allocated
-                    dict(dt=1e-300, duration=1e300), dict(dt=1e-12, duration=1e6)):
+                    dict(dt=1e-300, duration=1e300), dict(dt=1e-12, duration=1e6),
+                    # one step, too few for the entropy of any record
+                    dict(dt=1e-3, duration=1.4e-3)):
             with pytest.raises(ConfigError):
                 small_config(**bad)
         with pytest.raises(ConfigError, match="readout label 99"):
             run_sweep(small_config(), hierarchy=HierarchyConfig(readout_b=99))
+
+    # (sweep key, the sweep's call, the call of the rule's owner)
+    OWNED_RULES = [
+        ("dt", lambda: small_config(dt=0.0),
+         lambda: check_settings(0.0, 0.05, 1, "state_dependent")),
+        ("dt", lambda: small_config(dt=math.nan),
+         lambda: check_settings(math.nan, 0.05, 1, "state_dependent")),
+        ("duration", lambda: small_config(duration=1e-4),
+         lambda: check_settings(1e-3, 1e-4, 1, "state_dependent")),
+        ("duration / dt", lambda: small_config(dt=1e-300, duration=1e300),
+         lambda: check_settings(1e-300, 1e300, 1, "state_dependent")),
+        ("decay_mode", lambda: small_config(decay_mode="bogus"),
+         lambda: check_settings(1e-3, 0.05, 1, "bogus")),
+        ("xis", lambda: small_config(xis=(2, 0)),
+         lambda: edge_total(Grid(4, 1), 0, None)),
+        ("edge_count", lambda: small_config(edge_count=0),
+         lambda: edge_total(Grid(4, 1), 2, 0)),
+        ("readout_b", lambda: run_sweep(small_config(),
+                                        hierarchy=HierarchyConfig(readout_b=99)),
+         lambda: check_readout(16, 2, 99)),
+        ("readout_a", lambda: run_sweep(small_config(), hierarchy=HierarchyConfig(
+            readout_a=9, readout_b=9)), lambda: check_readout(16, 9, 9)),
+    ]
+
+    @pytest.mark.parametrize("key,sweep,owner", OWNED_RULES,
+                             ids=[row[0] for row in OWNED_RULES])
+    def test_rule_text_is_its_owners(self, key, sweep, owner):
+        with pytest.raises(ParameterError) as owned:
+            owner()
+        with pytest.raises(ConfigError) as swept:
+            sweep()
+        assert str(owned.value) in str(swept.value) and key in str(swept.value)
+
+    def test_trace_too_large_for_memory_is_recorded(self):
+        # 1e15 steps: 7.1 PiB of trace, beyond the 128 TiB a process can map
+        records = run_sweep(small_config(alphas=(1.0,), trials=1, dt=1e-12,
+                                         duration=1e3))
+        assert len(records) == 1
+        assert "steps do not fit in memory" in records[0].error

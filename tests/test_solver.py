@@ -344,6 +344,9 @@ class TestSimulate:
         # a step count float64 cannot count exactly, checked before set-up
         with pytest.raises(ParameterError, match="duration / dt"):
             simulate(island, lambda t: 1.0, dt=1e-300, duration=1e300)
+        # 1e15 steps: 7.1 PiB of trace, beyond the 128 TiB a process can map
+        with pytest.raises(ParameterError, match="1000000000000000 steps do not fit"):
+            simulate(t, lambda t: 1.0, dt=1e-12, duration=1e3)
 
     def test_sine_waveform_takes_finite_numbers(self):
         for args in ((True,), ("8",), (math.nan,), (2.0, math.inf)):

@@ -192,8 +192,9 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             # node 1 is a supporting node on the subdivided lattice
             generate_network(*args, input_node=1)
-        with pytest.raises(ParameterError):
-            generate_network(*args, input_node=99)
+        for node in (99, -1):  # outside the grid
+            with pytest.raises(ParameterError, match="not an interface node"):
+                generate_network(*args, input_node=node)
         with pytest.raises(ParameterError):
             generate_network(*args, edge_count=0)
         # integers by the package's number rule, and a seed >= 0
