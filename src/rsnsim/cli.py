@@ -168,15 +168,12 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     g = cfgmod.parse_generate(doc)
-    try:
-        grid = Grid(g["interface_dim"], g["subdivision"])
-        shape = BetaShape(g["alpha"], g["beta"])
-        topo = generate_network(grid, shape, g["xi"], g["ranges"], g["seed"],
-                                input_node=g["input_node"],
-                                ground_node=g["ground_node"],
-                                edge_count=g["edge_count"])
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = Grid(g["interface_dim"], g["subdivision"])
+    shape = BetaShape(g["alpha"], g["beta"])
+    topo = generate_network(grid, shape, g["xi"], g["ranges"], g["seed"],
+                            input_node=g["input_node"],
+                            ground_node=g["ground_node"],
+                            edge_count=g["edge_count"])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "topology.json")
     write_text_atomic(path, topo.to_json() + "\n")
@@ -198,20 +195,13 @@ def cmd_simulate(args) -> int:
     s = cfgmod.parse_simulate(cfgmod.load_config_file(args.config))
     with open(args.topology) as f:
         text = f.read()
-    unusable = f"topology file {args.topology} is not usable"
     try:
         topo = NetworkTopology.from_json(text)
     except Exception as exc:
-        raise DataError(f"{unusable}: {exc}") from None
-    try:
-        trace = simulate(topo, sine_waveform(s["amplitude"], s["frequency"]),
-                         s["dt"], s["duration"], decay_mode=s["decay_mode"],
-                         decimation=s["decimation"])
-    except ParameterError as exc:
-        # set-up errors name the member; the others are about the settings
-        if hasattr(exc, "member"):
-            raise DataError(f"{unusable}: {exc}") from None
-        raise ConfigError(str(exc)) from None
+        raise DataError(f"topology file {args.topology} is not usable: {exc}") from None
+    trace = simulate(topo, sine_waveform(s["amplitude"], s["frequency"]),
+                     s["dt"], s["duration"], decay_mode=s["decay_mode"],
+                     decimation=s["decimation"])
     # the values simulate accepted, as floats and an integer
     s = dict(s, decimation=int(s["decimation"]), **{
         k: float(s[k]) for k in ("amplitude", "frequency", "dt", "duration")})
@@ -344,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         log.error("config error: %s", exc)
         return 1
     except (OSError, DataError) as exc:

@@ -161,7 +161,8 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
     Entropy is measured over the K differential readouts; energies add
     (the member circuits are disjoint).  A failing cell names its
     lowest-index failing member with that member's own error, exactly as
-    if the members ran one after another.
+    if the members ran one after another.  An error of every member at
+    once, such as a bad setting, is raised as it is.
     """
     check_readout(cfg.interface_dim ** 2, hier.readout_a, hier.readout_b)
     seeds = [derive_seed(seed, k) for k in range(hier.k)]
@@ -177,7 +178,9 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
             traces = simulate(topos, sine_waveform(v, cfg.frequency), cfg.dt,
                               cfg.duration, decay_mode=cfg.decay_mode)
         except Exception as exc:
-            failure = (getattr(exc, "member", 0), exc)
+            if not hasattr(exc, "member"):
+                raise
+            failure = (exc.member, exc)
     if failure:
         k, exc = failure
         raise RsnError(f"hierarchy member {k} (seed {seeds[k]}) failed: "
@@ -226,9 +229,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1,
 
     Results are returned in canonical cell order regardless of worker
     count, so identical configs always produce identical record lists.
-    Readout labels that ``check_readout`` rejects raise ConfigError before
-    any run.
+    A worker count below 1 or readout labels that ``check_readout`` rejects
+    raise ConfigError before any run.  No more workers start than records.
     """
+    workers = _integral(workers, "workers", ConfigError)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers!r}")
     if hierarchy is not None:
         try:
             check_readout(cfg.interface_dim ** 2, hierarchy.readout_a,
@@ -236,7 +242,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1,
         except ParameterError as exc:
             raise ConfigError(f"readout_a, readout_b: {exc}") from None
     items = [(cfg, hierarchy, cell) for cell in _cells(cfg)]
-    if workers <= 1:
+    workers = min(workers, len(items))
+    if workers == 1:
         return [_run_item(it) for it in items]
     # imported here: it loads multiprocessing, which a one-worker run never needs
     from concurrent.futures import ProcessPoolExecutor

@@ -76,8 +76,6 @@ def _rows(t: NetworkTopology):
     # the live circuit.
     labels = _components(n, t.a, t.b)
     active = labels == labels[t.ground_node]
-    if not active[t.input_node]:
-        raise ParameterError("no input->ground path; run ensure_connected first")
     unknowns = np.flatnonzero(active & (np.arange(n) != t.ground_node))
     rows = np.full(n, -1, dtype=int)
     rows[unknowns] = np.arange(unknowns.size)

@@ -184,7 +184,8 @@ class NetworkTopology:
         """Raise ParameterError unless ``simulate`` can step this network:
         ``a``, ``b``, ``w_prime``, ``w`` and a ``params`` row of 10 per edge,
         integer nodes in 0..n-1, input not ground, no self-loop, parameters
-        that pass ``check_params``, ``0 <= w_prime <= 1`` and ``w`` 0 or 1."""
+        that pass ``check_params``, ``0 <= w_prime <= 1``, ``w`` 0 or 1, and
+        a path of edges from input to ground."""
         e, n = self.edge_count, self.grid.n_nodes
         for name, shape in (("a", (e,)), ("b", (e,)), ("w_prime", (e,)),
                             ("w", (e,)), ("params", (e, len(_PARAM_KEYS)))):
@@ -205,6 +206,9 @@ class NetworkTopology:
             raise ParameterError("w_prime must lie in [0, 1]")
         if not np.all((self.w == 0) | (self.w == 1)):
             raise ParameterError("w must be 0 or 1")
+        labels = _components(n, self.a, self.b)
+        if labels[self.input_node] != labels[self.ground_node]:
+            raise ParameterError("no input->ground path; run ensure_connected first")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":

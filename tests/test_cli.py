@@ -203,6 +203,18 @@ class TestSimulate:
             assert key in caplog.text and "config error:" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    def test_pathless_file_reported_before_settings(self, tmp_path, topo_file,
+                                                    caplog):
+        doc = json.loads(open(topo_file).read())
+        doc["edges"] = [e for e in doc["edges"]
+                        if doc["ground_node"] not in (e["a"], e["b"])]
+        cut = write_json(tmp_path / "cut.json", doc)
+        cfg = write_json(tmp_path / "sim.json", {"dt": 0})
+        assert main(["simulate", "--topology", cut, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "is not usable: no input->ground path" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_echoes_accepted_values(self, tmp_path, topo_file):
         # integers are the floats they equal, and an integral float
         # decimation the integer: both configs write the same files
@@ -387,6 +399,14 @@ class TestSweep:
                          "--out", str(tmp_path)]) == 1, (key, value)
             assert key in caplog.text
         assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_1_exits_1(self, tmp_path, caplog, workers):
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_DOC)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", workers]) == 1
+        assert f"config error: workers must be >= 1, got {workers}" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_accepted(self, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", dict(SWEEP_DOC, trials=1.0))

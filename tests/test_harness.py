@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -211,6 +212,15 @@ class TestRunHierarchy:
         with pytest.raises(ParameterError, match="readout nodes must differ"):
             run_hierarchy(small_config(), same, 1.0, 2.0, 2, 2.0, seed=1)
 
+    def test_setting_error_names_no_member(self):
+        # raised for every member at once, so recorded as a single record's;
+        # 1e15 steps: 7.1 PiB of trace, beyond the 128 TiB a process can map
+        cfg = small_config(alphas=(1.0,), trials=1, dt=1e-12, duration=1e3)
+        [record] = run_sweep(cfg, hierarchy=HierarchyConfig(k=2))
+        assert record.error == ("ParameterError: 1000000000000000 steps do "
+                                "not fit in memory")
+        assert record.error == run_sweep(cfg)[0].error
+
     def test_readout_labels_checked_before_any_member(self, monkeypatch):
         calls = []
         make = harness._make_topology
@@ -305,6 +315,27 @@ class TestRunSweep:
         records = run_sweep(cfg, workers=1)
         assert all("," not in r.error and "\n" not in r.error for r in records)
 
+    def test_pool_has_no_more_workers_than_records(self, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config(alphas=(1.0,))
+        assert run_sweep(cfg, workers=8) == run_sweep(cfg)
+        assert pools == [2]
+
     def test_aggregate_matches_hand_average(self):
         cfg = small_config(trials=3)
         records = run_sweep(cfg)
@@ -361,6 +392,12 @@ class TestRunSweep:
                 small_config(**bad)
         with pytest.raises(ConfigError, match="readout label 99"):
             run_sweep(small_config(), hierarchy=HierarchyConfig(readout_b=99))
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="workers must be >= 1"):
+                run_sweep(small_config(), workers=workers)
+        for workers in (True, 2.5):
+            with pytest.raises(ConfigError, match="'workers' must be an integer"):
+                run_sweep(small_config(), workers=workers)
 
     # (sweep key, the sweep's call, the call of the rule's owner)
     OWNED_RULES = [

@@ -240,6 +240,7 @@ CHECK_CASES = {
     "tau=inf": ({"params": _with_param("tau", np.inf)}, "^tau must be"),
     "self-loop": ({"b": np.array([5, 5, 15])}, "self-loop"),
     "input=ground": ({"ground_node": 0}, "must differ"),
+    "no path": ({"b": np.array([5, 10, 14])}, "^no input->ground path"),
 }
 
 

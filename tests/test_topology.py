@@ -281,8 +281,20 @@ class TestJson:
     def test_no_edges(self):
         t = linear_topology([])
         t.params = np.zeros((0, 10))
-        assert '"edges": []' in t.to_json()
-        self.check(t)
+        text = t.to_json()
+        assert '"edges": []' in text and text == json.dumps(t.to_dict(), indent=1)
+        with pytest.raises(ParameterError, match="^no input->ground path"):
+            NetworkTopology.from_json(text)
+
+    def test_pathless_document_rejected(self):
+        # the README's generate config, with every device at ground cut
+        t = generate_network(Grid(4, 1), BetaShape(10, 1), 4, default_ranges(), 7)
+        doc = t.to_dict()
+        cut = [e for e in doc["edges"] if t.ground_node not in (e["a"], e["b"])]
+        assert 0 < len(cut) < t.edge_count
+        for edges in (cut, []):
+            with pytest.raises(ParameterError, match="^no input->ground path"):
+                NetworkTopology.from_json(json.dumps(dict(doc, edges=edges)))
 
     def test_param_keys_in_any_order(self):
         t = linear_topology([(0, 15, 1.0), (3, 7, 2.0), (1, 2, 0.5)])
