@@ -18,7 +18,7 @@ import numpy as np
 
 from . import device as dev
 from .errors import DataError, NumericalError, ParameterError, _finite, _integral
-from .topology import NetworkTopology, _components
+from .topology import NetworkTopology
 
 _EPS = float(np.finfo(float).eps)
 DEFAULT_FREQUENCY = 5.0  # Hz
@@ -64,79 +64,67 @@ class LinearSystem:
     _gather: np.ndarray = field(repr=False)
 
 
-def _rows(t: NetworkTopology):
-    """One topology's unknown rows: (node_rows, dim), the row of each grid
-    node (-1 for ground and floating islands) and the system size."""
-    t.check()
-    n = t.grid.n_nodes
-
-    # Only the component containing ground carries current; nodes of
-    # floating islands are pinned at 0 V (exact: no source reaches
-    # them), which keeps the matrix nonsingular without perturbing
-    # the live circuit.
-    labels = _components(n, t.a, t.b)
-    active = labels == labels[t.ground_node]
-    unknowns = np.flatnonzero(active & (np.arange(n) != t.ground_node))
-    rows = np.full(n, -1, dtype=int)
-    rows[unknowns] = np.arange(unknowns.size)
-    return rows, unknowns.size + 1
-
-
 class _Assembler:
     """Scatter indices, parameter rows and one matrix buffer for topologies
     stepped in lockstep.
 
     The members' edges and parameter rows are concatenated, so one call of
     each device kernel and one ``np.bincount`` per step serve every member.
-    Every edge has four stamps, in four blocks over all edges: +g at (a, a),
-    +g at (b, b), -g at (a, b) and -g at (b, a), in unknown rows; a stamp
-    on ground or a floating island goes to a dropped bin.  Every member's
-    matrix and rhs live in one flat buffer, member m's matrix at an offset
-    of the earlier members' dim**2, allocated once with the source row and
-    column set.  Each step the bincount sums every stamped entry's terms in
-    stamp order, the order of a member assembled alone, and writes only
-    those entries.  It sums g, then negates the off-diagonal sums (their
-    stamps are all -g; there are no self-loops), which is bit for bit the
-    sum of the -g terms: rounding is symmetric in sign.  The stamped
-    conductances and the stamp weights have a buffer each, refilled every
-    step.  An error in member m's set-up carries ``member = m``.
+    A member's unknowns are the nodes of the ground component its
+    ``check`` labels, ground excepted: floating islands are pinned at 0 V
+    (exact: no source reaches them), which keeps the matrix nonsingular.
+    Every edge has four stamps, in four blocks over all edges: +g at
+    (a, a), +g at (b, b), -g at (a, b) and -g at (b, a), in unknown rows;
+    a stamp on ground or a floating island goes to a dropped bin.  Every
+    member's matrix lives in one flat buffer, member m's at an offset of
+    the earlier members' dim**2, allocated once with the source row and
+    column set.  Every rhs is zero but for its last entry, so each
+    member's rhs is the tail of one shared buffer whose last entry
+    ``build`` sets to the source voltage.  Each step the bincount sums every
+    stamped entry's terms in stamp order, the order of a member assembled
+    alone, and writes only those entries.  It sums g, then negates the
+    off-diagonal sums (their stamps are all -g; there are no self-loops),
+    which is bit for bit the sum of the -g terms: rounding is symmetric in
+    sign.  The stamped conductances and the stamp weights have a buffer
+    each, refilled every step.  An error in member m's set-up carries
+    ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
         grid = topologies[0].grid
         n = grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
-        members = []  # per member: matrix offset, dim, rhs offset, node rows
-        ra, rb, offset, dims, ones = [], [], [], [], []
-        size = rhs_size = n_edges = 0
+        members = []  # per member: matrix offset, dim, node rows
+        flat, ones = [], []  # (4, E) stamp entries per member, -1 if dropped
+        size = n_edges = 0
         for m, t in enumerate(topologies):
             try:
                 if t.grid != grid:
                     raise ParameterError("lockstep members must share one grid")
-                rows, dim = _rows(t)
+                labels = t.check()
             except Exception as exc:
                 exc.member = m
                 raise
+            unknowns = np.flatnonzero((labels == labels[t.ground_node])
+                                      & (np.arange(n) != t.ground_node))
+            rows = np.full(n, -1, dtype=int)
+            rows[unknowns] = np.arange(unknowns.size)
+            dim = unknowns.size + 1
+            ra, rb = rows[t.a], rows[t.b]
+            r, c = np.stack((ra, rb, ra, rb)), np.stack((ra, rb, rb, ra))
+            flat.append(np.where((r >= 0) & (c >= 0), size + r * dim + c, -1))
             r_in, r_src = rows[t.input_node], dim - 1
-            members.append((size, dim, rhs_size, rows))
-            ra.append(rows[t.a])
-            rb.append(rows[t.b])
-            offset.append(np.full(t.edge_count, size))
-            dims.append(np.full(t.edge_count, dim))
-            self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
             ones.extend((size + r_in * dim + r_src, size + r_src * dim + r_in))
+            members.append((size, dim, rows))
+            self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
             size += dim * dim
-            rhs_size += dim
             n_edges += t.edge_count
-        ra, rb = np.concatenate(ra), np.concatenate(rb)
-        stamp_rows, stamp_cols = np.stack((ra, rb, ra, rb)), np.stack((ra, rb, rb, ra))
-        ok = (stamp_rows >= 0) & (stamp_cols >= 0)
-        flat = np.concatenate(offset) + stamp_rows * np.concatenate(dims) + stamp_cols
+        flat = np.concatenate(flat, axis=1)
+        flat[flat < 0] = size  # past every matrix entry
         # the stamped entries, each stamp's bin among them, and one more bin
         # for the stamps that are dropped
-        self._stamped = np.flatnonzero(np.bincount(flat[ok], minlength=size))
-        self._bins = np.where(ok, np.searchsorted(self._stamped, flat),
-                              self._stamped.size).ravel()
+        self._stamped = np.flatnonzero(np.bincount(flat.ravel())[:size])
+        self._bins = np.searchsorted(self._stamped, flat).ravel()
         self._weights = np.empty((4, n_edges))
         self._sign = np.full(self._stamped.size + 1, -1.0)  # a sign per bin:
         self._sign[self._bins[:2 * n_edges]] = 1.0  # + for a-a and b-b stamps
@@ -144,19 +132,19 @@ class _Assembler:
         # negative, so a member's largest stamped entry is on its diagonal.
         self._firsts = np.searchsorted(self._stamped, [o for o, *_ in members])
         self._diag_max = np.empty(len(members))
-        self._src = np.array([r + d - 1 for _, d, r, _ in members])  # source rows
         self._g = np.empty(n_edges)
         self._matrices = np.zeros(size)
         self._matrices[ones] = 1.0  # source column and row
-        self._rhs = np.zeros(rhs_size)
+        dim_max = max(d for _, d, _ in members)
+        self._rhs = np.zeros(dim_max)
         # one gather buffer serves every member: each solve overwrites at
         # most its first dim entries, never the last
-        gather = np.zeros(max(d for _, d, _, _ in members) + 1)
+        gather = np.zeros(dim_max + 1)
         self._systems = [
             LinearSystem(matrix=self._matrices[o:o + d * d].reshape(d, d),
-                         rhs=self._rhs[r:r + d], node_rows=rows,
+                         rhs=self._rhs[-d:], node_rows=rows,
                          diag_max=self._diag_max[m:m + 1], _gather=gather)
-            for m, (o, d, r, rows) in enumerate(members)]
+            for m, (o, d, rows) in enumerate(members)]
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
@@ -165,27 +153,26 @@ class _Assembler:
         params = np.concatenate([t.params for t in topologies])
         self.p = dict(zip(dev._PARAM_KEYS, np.ascontiguousarray(params.T)))
 
-    def conductances(self, w: np.ndarray, branch_voltages: np.ndarray) -> np.ndarray:
-        """The stamped conductances, in a buffer that the next call refills."""
-        p = self.p
-        g = dev.conductance_batch(w, branch_voltages, p["epsilon"], p["theta"],
-                                  p["gamma"], p["delta"], p["g_floor"])
-        return np.add(g, p["g_floor"], out=self._g)  # parallel floor path per edge
-
-    def build(self, g: np.ndarray, v_in: float) -> List[LinearSystem]:
-        """Every member's system for one step, in member order.
+    def build(self, w: np.ndarray, branch_voltages: np.ndarray,
+              v_in: float) -> List[LinearSystem]:
+        """Every member's system for one step, its conductances evaluated
+        at ``w`` and ``branch_voltages``, in member order.
 
         Every call returns the same LinearSystem objects, whose arrays are
         views of this assembler's buffers, refilled in place: a system is
         valid until the next call.
         """
-        np.copyto(self._weights, g)
+        p = self.p
+        g = dev.conductance_batch(w, branch_voltages, p["epsilon"], p["theta"],
+                                  p["gamma"], p["delta"], p["g_floor"])
+        # the parallel floor path per edge, added into this assembler's buffer
+        np.copyto(self._weights, np.add(g, p["g_floor"], out=self._g))
         entries = np.bincount(self._bins, weights=self._weights.ravel(),
                               minlength=self._sign.size)
         entries = np.multiply(entries, self._sign, out=entries)[:-1]
         self._matrices[self._stamped] = entries
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
-        self._rhs[self._src] = v_in
+        self._rhs[-1] = v_in
         return self._systems
 
 
@@ -198,7 +185,7 @@ def assemble(t: NetworkTopology, v_in: float) -> LinearSystem:
     asm = _Assembler([t])
     if not np.isfinite(v_in):
         raise DataError(f"source voltage must be finite, got {v_in!r}")
-    return asm.build(asm.conductances(t.w, np.zeros(t.edge_count)), v_in)[0]
+    return asm.build(t.w, np.zeros(t.edge_count), v_in)[0]
 
 
 def solve_step(sys: LinearSystem, step: Optional[int] = None):
@@ -390,7 +377,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
         if not math.isfinite(v_in):
             raise DataError(f"waveform returned non-finite value at t={t_k!r}")
 
-        systems = asm.build(asm.conductances(w, branch_v), v_in)
+        systems = asm.build(w, branch_v, v_in)
         for m in range(live):
             try:
                 voltages[m], i_src_all[m, k] = solve_step(systems[m], step=k)

@@ -180,12 +180,13 @@ class NetworkTopology:
         return head + (',\n "edges": [\n' + edges + "\n ]\n}" if edges
                        else ',\n "edges": []\n}')
 
-    def check(self) -> None:
+    def check(self) -> np.ndarray:
         """Raise ParameterError unless ``simulate`` can step this network:
         ``a``, ``b``, ``w_prime``, ``w`` and a ``params`` row of 10 per edge,
         integer nodes in 0..n-1, input not ground, no self-loop, parameters
         that pass ``check_params``, ``0 <= w_prime <= 1``, ``w`` 0 or 1, and
-        a path of edges from input to ground."""
+        a path of edges from input to ground.  Returns each node's
+        connected-component label, as ``_components`` gives it."""
         e, n = self.edge_count, self.grid.n_nodes
         for name, shape in (("a", (e,)), ("b", (e,)), ("w_prime", (e,)),
                             ("w", (e,)), ("params", (e, len(_PARAM_KEYS)))):
@@ -209,6 +210,7 @@ class NetworkTopology:
         labels = _components(n, self.a, self.b)
         if labels[self.input_node] != labels[self.ground_node]:
             raise ParameterError("no input->ground path; run ensure_connected first")
+        return labels
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":

@@ -6,7 +6,9 @@ substituted directly (no auxiliary current unknown), and the system is
 solved by hand-rolled Gaussian elimination.  Generation is checked against
 the straightforward search over the full n x n distance map.  The device
 kernels are checked against their formulas written with np.where, and
-``simulate`` against a plain lagged stepping loop built on them.
+``simulate`` against a plain lagged stepping loop built on them.  A
+damped-Newton loop on the same kernels solves each step's circuit
+self-consistently, the reference for the converged step.
 """
 
 import numpy as np
@@ -213,3 +215,103 @@ def lagged_run(t, waveform, dt, n_steps, decay_mode="state_dependent"):
         flips += int(np.count_nonzero(new_w != w))
         w = new_w
     return np.array(v_ins), np.array(i_srcs), np.array(voltages), flips
+
+
+def _currents(w, V, p):
+    """Each device's current at bias V, its parallel g_floor path included,
+    and the current's derivative dI/dV: gamma*delta*cosh(delta*V) for an ON
+    device below the sinh cap (0 above it), epsilon*theta*exp(-theta*|V|)
+    for an OFF device, g_floor where the conductance is floored, plus the
+    parallel g_floor."""
+    g = guarded_conductance(w, V, p["epsilon"], p["theta"], p["gamma"],
+                            p["delta"], p["g_floor"])
+    absV = np.abs(V)
+    arg = p["delta"] * absV
+    on = np.where(arg < _SINH_ARG_CAP,
+                  p["gamma"] * p["delta"] * np.cosh(np.minimum(arg, _SINH_ARG_CAP)),
+                  0.0)
+    off = p["epsilon"] * p["theta"] * np.exp(-p["theta"] * absV)
+    slope = np.where(g > p["g_floor"], np.where(w == 1, on, off), p["g_floor"])
+    return (g + p["g_floor"]) * V, slope + p["g_floor"]
+
+
+def newton_run(t, waveform, dt, n_steps, decay_mode="state_dependent",
+               stop=1e-5, max_iter=50):
+    """One network stepped by solving each step's circuit self-consistently.
+
+    Per step, Newton's method on the KCL residual of the free nodes (the
+    ground component except ground and input), with the input voltage
+    substituted and ground and floating islands pinned at 0 V.  The
+    Jacobian is the Laplacian of the devices' dI/dV.  The start is
+    ``2 v_k - v_{k-1}`` from the last two steps' voltages (zeros before
+    step 0), or ``v_k`` when its residual is no larger.  Each Newton step
+    is halved until ``||f||_inf`` falls.  A step stops when ``||f||_inf <=
+    stop * s``, with ``s`` the largest sum of device current magnitudes at
+    a free node.  Then the Euler step and hysteresis, as in
+    ``lagged_run``.  Returns (v_in, i_src, node voltages, the state ``w``
+    of each step's solve, Newton iterations) at every step and the
+    switching count.
+    """
+    p = dict(zip(_PARAM_KEYS, t.params.T))
+    n = t.grid.n_nodes
+    labels = _components(n, t.a, t.b)
+    free = np.array([i for i in range(n) if labels[i] == labels[t.ground_node]
+                     and i not in (t.ground_node, t.input_node)], dtype=int)
+
+    def residual(v, w):
+        i, slope = _currents(w, v[t.a] - v[t.b], p)
+        f = np.bincount(t.a, i, n) - np.bincount(t.b, i, n)
+        s = np.bincount(t.a, np.abs(i), n) + np.bincount(t.b, np.abs(i), n)
+        return f, s[free].max(initial=0.0), slope
+
+    w_prime, w = t.w_prime.copy(), t.w.copy()
+    older, old = np.zeros(n), np.zeros(n)
+    flips = 0
+    v_ins, i_srcs, voltages, states, iterations = [], [], [], [], []
+    for k in range(n_steps):
+        v_in = float(waveform(k * dt))
+        starts = []
+        for v in (old, 2.0 * old - older):
+            v = v.copy()
+            v[t.input_node] = v_in
+            starts.append((np.abs(residual(v, w)[0][free]).max(initial=0.0), v))
+        v = starts[1][1] if starts[1][0] < starts[0][0] else starts[0][1]
+        f, s, slope = residual(v, w)
+        norm = np.abs(f[free]).max(initial=0.0)
+        for it in range(max_iter + 1):
+            if norm <= stop * s:
+                break
+            if it == max_iter:
+                raise RuntimeError(f"no convergence at step {k}")
+            J = np.zeros((n, n))
+            np.add.at(J, (t.a, t.a), slope)
+            np.add.at(J, (t.b, t.b), slope)
+            np.add.at(J, (t.a, t.b), -slope)
+            np.add.at(J, (t.b, t.a), -slope)
+            dx = np.linalg.solve(J[np.ix_(free, free)], -f[free])
+            step = 1.0
+            while True:
+                trial = v.copy()
+                trial[free] += step * dx
+                f_new, s_new, slope_new = residual(trial, w)
+                norm_new = np.abs(f_new[free]).max(initial=0.0)
+                if norm_new < norm:
+                    break
+                step /= 2.0
+                if step < 2.0 ** -40:
+                    raise RuntimeError(f"line search failed at step {k}")
+            v, f, s, slope, norm = trial, f_new, s_new, slope_new, norm_new
+        branch_v = v[t.a] - v[t.b]
+        v_ins.append(v_in)
+        i_srcs.append(float(f[t.input_node]))  # the current into the network
+        voltages.append(v)
+        states.append(w)
+        iterations.append(it)
+        older, old = old, v
+        w_prime = clipped_advance(w_prime, branch_v, dt, p["lambda"], p["eta"],
+                                  p["tau"], decay_mode)
+        new_w = nested_where_hysteresis(w_prime, w, p["th_low"], p["th_high"])
+        flips += int(np.count_nonzero(new_w != w))
+        w = new_w
+    return (np.array(v_ins), np.array(i_srcs), np.array(voltages),
+            np.array(states), np.array(iterations), flips)

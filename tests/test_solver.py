@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from rsnsim.analysis import energy
+from rsnsim.analysis import energy, entropy
 from rsnsim.device import _PARAM_KEYS, default_ranges
 from rsnsim.errors import DataError, NumericalError, ParameterError
-from rsnsim import device, solver
+from rsnsim import device, solver, topology
 from rsnsim.solver import (SimulationTrace, TraceBatch, assemble, simulate,
                            sine_waveform, solve_step)
 from rsnsim.topology import BetaShape, Grid, _components, generate_network
 
 from tests.conftest import linear_topology, stamped_edges
-from tests.oracles import lagged_run, solve_resistive_network
+from tests.oracles import lagged_run, newton_run, solve_resistive_network
 
 
 class TestAssembleSolve:
@@ -144,7 +144,7 @@ def _with_island(t):
     """``t`` plus an ON device joining two nodes outside the ground
     component: its bias is exactly 0 V at every step, so the conductance
     kernel's V -> 0 guard runs at every step."""
-    labels = _components(t.grid.n_nodes, t.a, t.b)
+    labels = t.check()
     u, v = np.flatnonzero(labels != labels[t.ground_node])[:2]
     return dataclasses.replace(
         t, a=np.append(t.a, u), b=np.append(t.b, v),
@@ -215,6 +215,75 @@ class TestPowerBalance:
             dissipated = np.sum((g_e + floors) * (v[t.a] - v[t.b]) ** 2)
             assert abs(delivered - dissipated) <= \
                 1e-10 * max(abs(delivered), dissipated)
+
+
+def _reference_network():
+    """The 49-node network of the lagged/Newton reference cell: alpha 1,
+    beta 5, xi 4."""
+    return generate_network(Grid(4, 1), BetaShape(1, 5), 4, default_ranges(), 11)
+
+
+@pytest.fixture(scope="module", params=[1.0, 8.0])
+def converged(request):
+    """The reference network and its Newton run at a KCL stop of 1e-12, 200
+    steps (one period) at the given amplitude."""
+    t = _reference_network()
+    return t, newton_run(t, sine_waveform(request.param), 1e-3, 200, stop=1e-12)
+
+
+def _device_currents(t, w, v):
+    """Each device's bias and current, from the package's conductance kernel
+    and the parallel g_floor path."""
+    p = dict(zip(_PARAM_KEYS, t.params.T))
+    bias = v[t.a] - v[t.b]
+    g = device.conductance_batch(w, bias, p["epsilon"], p["theta"], p["gamma"],
+                                 p["delta"], p["g_floor"]) + p["g_floor"]
+    return bias, g * bias
+
+
+class TestNewtonReference:
+    """The damped-Newton reference step of ``tests/oracles.py``."""
+
+    def test_kcl_holds_at_every_free_node(self, converged):
+        t, (v_in, _, voltages, states, _, _) = converged
+        n = t.grid.n_nodes
+        labels = t.check()
+        live = labels == labels[t.ground_node]
+        free = live & ~np.isin(np.arange(n), [t.input_node, t.ground_node])
+        assert np.all(voltages[:, ~live] == 0.0)  # ground and islands
+        assert np.array_equal(voltages[:, t.input_node], v_in)
+        for v, w in zip(voltages, states):
+            _, i = _device_currents(t, w, v)
+            kcl = np.bincount(t.a, i, n) - np.bincount(t.b, i, n)
+            scale = np.bincount(t.a, np.abs(i), n) + np.bincount(t.b, np.abs(i), n)
+            assert np.abs(kcl[free]).max() <= 1e-12 * scale[free].max()
+
+    def test_source_power_equals_dissipation(self, converged):
+        t, (v_ins, i_srcs, voltages, states, _, _) = converged
+        for v_in, i_src, v, w in zip(v_ins, i_srcs, voltages, states):
+            bias, i = _device_currents(t, w, v)
+            delivered, dissipated = v_in * i_src, np.sum(i * bias)
+            assert abs(delivered - dissipated) <= \
+                1e-10 * max(abs(delivered), dissipated)
+
+    def test_simulate_matches_at_1v(self):
+        # Measured on this network at the default stop: simulate's E differs
+        # from the reference's by 3.1e-4 relative and H by 6.5e-4 bits (8% of
+        # 0.0079); over seeds 0-7 of the same cell, by at most 3.1e-3 and
+        # 1.1e-3 bits.
+        t = _reference_network()
+        wave = sine_waveform(1.0)
+        v_in, i_src, voltages, _, _, flips = newton_run(t, wave, 1e-3, 200)
+        trace = simulate(t, wave, dt=1e-3, duration=0.2)
+        ref = SimulationTrace(times=trace.times, dt=1e-3,
+                              interface_voltages=voltages[:, t.grid.interface_indices],
+                              source_current=i_src, applied_voltage=v_in,
+                              switching_events=flips)
+        assert energy(trace).energy_joules == \
+            pytest.approx(energy(ref).energy_joules, rel=1e-3)
+        assert entropy(trace.interface_voltages).entropy_bits == \
+            pytest.approx(entropy(ref.interface_voltages).entropy_bits, abs=1.5e-3)
+        assert trace.switching_events == flips
 
 
 GOOD = linear_topology([(0, 5, 1.0), (5, 10, 1.0), (10, 15, 1.0)])
@@ -481,6 +550,28 @@ class TestSimulate:
         err = NumericalError("boom", step=17)
         assert "step 17" in str(err)
         assert err.step == 17
+
+
+class TestSetup:
+    def test_one_union_find_per_member(self, monkeypatch):
+        # each member's rows come from the labels its check computes
+        members = [_with_island(generate_network(Grid(4, 1), BetaShape(1, 5), 2,
+                                                 default_ranges(), seed))
+                   for seed in (700, 706, 709)]
+        labels = []
+
+        def counted(n_nodes, a, b):
+            labels.append(_components(n_nodes, a, b))
+            return labels[-1]
+
+        monkeypatch.setattr(topology, "_components", counted)
+        monkeypatch.setattr(solver, "_components", counted, raising=False)
+        simulate(members, sine_waveform(1.0), dt=1e-3, duration=2e-3)
+        assert len(labels) == 3
+        for t in members:
+            got = t.check()
+            assert got is labels[-1]
+            assert np.array_equal(got, _components(t.grid.n_nodes, t.a, t.b))
 
 
 class TestTraceCsv:
