@@ -4,7 +4,8 @@ Each time step the network is treated as a stationary resistive circuit:
 device conductances are evaluated at the previous step's branch voltages,
 the resulting linear system (nodal equations plus one auxiliary current
 unknown for the ideal voltage source) is solved, and every device's
-internal state is advanced with the fresh branch voltages.
+internal state is advanced with the fresh branch voltages.  Same-size
+lockstep systems are solved by one stacked LAPACK call, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class LinearSystem:
     ``diag_max[0]`` is the largest diagonal entry of ``matrix``.
     ``_gather`` is a buffer longer than the unknowns whose last entry stays
     0: ``solve_step`` copies the unknowns to its start and gathers the node
-    voltages from it by ``node_rows``, so row -1 reads 0 V.
+    voltages from it by ``node_rows``, so row -1 reads 0 V.  ``matrix`` is
+    entry ``_slot`` of ``_stack``, the members of its size.
     """
 
     matrix: np.ndarray
@@ -62,6 +64,20 @@ class LinearSystem:
     node_rows: np.ndarray
     diag_max: np.ndarray
     _gather: np.ndarray = field(repr=False)
+    _stack: "_Stack" = field(repr=False)
+    _slot: int = field(repr=False)
+
+
+class _Stack:
+    """Same-size lockstep members' matrices, one ``(G, d, d)`` view in
+    member order, and their rhs as ``(G, d, 1)`` (numpy 1 takes a 1-D b
+    only with a 2-D a).  Each step the first member's solve_step leaves the
+    first ``live`` solutions and residual norms in ``x`` and ``res``; below
+    2 live, or with None in ``x`` (a singular matrix), each solves alone."""
+
+    def __init__(self, matrices, rhs):
+        self.matrices, self.live, self.x = matrices, len(matrices), None
+        self.rhs = np.broadcast_to(rhs[:, None], (self.live, rhs.size, 1))
 
 
 class _Assembler:
@@ -76,27 +92,27 @@ class _Assembler:
     Every edge has four stamps, in four blocks over all edges: +g at
     (a, a), +g at (b, b), -g at (a, b) and -g at (b, a), in unknown rows;
     a stamp on ground or a floating island goes to a dropped bin.  Every
-    member's matrix lives in one flat buffer, member m's at an offset of
-    the earlier members' dim**2, allocated once with the source row and
-    column set.  Every rhs is zero but for its last entry, so each
-    member's rhs is the tail of one shared buffer whose last entry
-    ``build`` sets to the source voltage.  Each step the bincount sums every
-    stamped entry's terms in stamp order, the order of a member assembled
-    alone, and writes only those entries.  It sums g, then negates the
-    off-diagonal sums (their stamps are all -g; there are no self-loops),
-    which is bit for bit the sum of the -g terms: rounding is symmetric in
-    sign.  The stamped conductances and the stamp weights have a buffer
-    each, refilled every step.  An error in member m's set-up carries
-    ``member = m``.
+    member's matrix lives in one flat buffer, allocated once with the
+    source row and column set.  Members of one dim sit next to each other
+    there, in member order, so each dim is one ``_Stack``; no matrix is
+    padded, as LAPACK's blocking depends on the size.  Every rhs is zero
+    but for its last entry, so each member's rhs is the tail of one shared
+    buffer whose last entry ``build`` sets to the source voltage.  Each
+    step the bincount sums every stamped entry's terms in stamp order, the
+    order of a member assembled alone, and writes only those entries.  It
+    sums g, then negates the off-diagonal sums (their stamps are all -g;
+    there are no self-loops), which is bit for bit the sum of the -g terms:
+    rounding is symmetric in sign.  The stamped conductances and the stamp
+    weights have a buffer each, refilled every step.  An error in member
+    m's set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
         grid = topologies[0].grid
         n = grid.n_nodes
         self.edge_slices = []  # each member's edges in the concatenated arrays
-        members = []  # per member: matrix offset, dim, node rows
-        flat, ones = [], []  # (4, E) stamp entries per member, -1 if dropped
-        size = n_edges = 0
+        dims, node_rows = [], []
+        n_edges = 0
         for m, t in enumerate(topologies):
             try:
                 if t.grid != grid:
@@ -109,18 +125,20 @@ class _Assembler:
                                       & (np.arange(n) != t.ground_node))
             rows = np.full(n, -1, dtype=int)
             rows[unknowns] = np.arange(unknowns.size)
-            dim = unknowns.size + 1
+            dims.append(unknowns.size + 1)
+            node_rows.append(rows)
+            self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
+            n_edges += t.edge_count
+        order = sorted(range(len(dims)), key=dims.__getitem__)  # buffer order
+        offset, size = [0] * len(dims), 0
+        for m in order:
+            offset[m], size = size, size + dims[m] ** 2
+        flat = []  # (4, E) stamp entries per member, size if dropped
+        for t, rows, d, o in zip(topologies, node_rows, dims, offset):
             ra, rb = rows[t.a], rows[t.b]
             r, c = np.stack((ra, rb, ra, rb)), np.stack((ra, rb, rb, ra))
-            flat.append(np.where((r >= 0) & (c >= 0), size + r * dim + c, -1))
-            r_in, r_src = rows[t.input_node], dim - 1
-            ones.extend((size + r_in * dim + r_src, size + r_src * dim + r_in))
-            members.append((size, dim, rows))
-            self.edge_slices.append(slice(n_edges, n_edges + t.edge_count))
-            size += dim * dim
-            n_edges += t.edge_count
+            flat.append(np.where((r >= 0) & (c >= 0), o + r * d + c, size))
         flat = np.concatenate(flat, axis=1)
-        flat[flat < 0] = size  # past every matrix entry
         # the stamped entries, each stamp's bin among them, and one more bin
         # for the stamps that are dropped
         self._stamped = np.flatnonzero(np.bincount(flat.ravel())[:size])
@@ -128,23 +146,28 @@ class _Assembler:
         self._weights = np.empty((4, n_edges))
         self._sign = np.full(self._stamped.size + 1, -1.0)  # a sign per bin:
         self._sign[self._bins[:2 * n_edges]] = 1.0  # + for a-a and b-b stamps
-        # Each member's first stamped entry.  Off-diagonal entries are
-        # negative, so a member's largest stamped entry is on its diagonal.
-        self._firsts = np.searchsorted(self._stamped, [o for o, *_ in members])
-        self._diag_max = np.empty(len(members))
+        # Each member's first stamped entry, in buffer order; off-diagonal
+        # entries are negative, so its largest is on its diagonal.
+        self._firsts = np.searchsorted(self._stamped, sorted(offset))
+        self._diag_max = np.empty(len(dims))  # in buffer order
         self._g = np.empty(n_edges)
         self._matrices = np.zeros(size)
-        self._matrices[ones] = 1.0  # source column and row
-        dim_max = max(d for _, d, _ in members)
-        self._rhs = np.zeros(dim_max)
+        self._rhs = np.zeros(max(dims))
         # one gather buffer serves every member: each solve overwrites at
         # most its first dim entries, never the last
-        gather = np.zeros(dim_max + 1)
-        self._systems = [
-            LinearSystem(matrix=self._matrices[o:o + d * d].reshape(d, d),
-                         rhs=self._rhs[-d:], node_rows=rows,
-                         diag_max=self._diag_max[m:m + 1], _gather=gather)
-            for m, (o, d, rows) in enumerate(members)]
+        gather = np.zeros(self._rhs.size + 1)
+        self._systems = [None] * len(dims)
+        for d in sorted(set(dims)):  # (position in buffer, member) per dim
+            group = [(p, m) for p, m in enumerate(order) if dims[m] == d]
+            o = offset[group[0][1]]
+            stack = _Stack(self._matrices[o:o + len(group) * d * d]
+                           .reshape(-1, d, d), self._rhs[-d:])
+            for i, (p, m) in enumerate(group):
+                r_in = node_rows[m][topologies[m].input_node]
+                stack.matrices[i, r_in, -1] = stack.matrices[i, -1, r_in] = 1.0
+                self._systems[m] = LinearSystem(
+                    stack.matrices[i], self._rhs[-d:], node_rows[m],
+                    self._diag_max[p:p + 1], gather, stack, i)
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
@@ -195,16 +218,31 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     fixed at 0 V, and the current delivered by the source.  Raises
     NumericalError if the solve fails or its normwise backward error
     ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) exceeds dim * eps.
+    Lockstep members call it once each per step, in member order: the
+    first member of a size solves that size's live members.
     """
-    try:
-        x = np.linalg.solve(sys.matrix, sys.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"linear solve failed: {exc}", step=step) from None
-    # b is zero but for the source row, which holds v_in
-    v_in = sys.rhs.item(-1)
-    r = sys.matrix @ x
-    r[-1] -= v_in
-    residual = r.item(np.abs(r, out=r).argmax())  # the max, or a NaN in r
+    stack, i = sys._stack, sys._slot
+    v_in = sys.rhs.item(-1)  # b is zero but for the source row, which holds v_in
+    if i == 0 and stack.live > 1:  # the first member solves the live ones
+        a = stack.matrices[:stack.live]
+        try:  # the same dgesv per matrix as a call each, so the same bits
+            x = np.linalg.solve(a, stack.rhs[:stack.live])
+        except np.linalg.LinAlgError:  # each member finds its singular matrix
+            stack.x = None
+        else:
+            r = np.matmul(a, x)  # the same dgemv per matrix
+            r[:, -1] -= v_in
+            stack.x, stack.res = x[..., 0], np.abs(r, out=r).max(axis=(1, 2))
+    if stack.live < 2 or stack.x is None:
+        try:
+            x = np.linalg.solve(sys.matrix, sys.rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"linear solve failed: {exc}", step=step) from None
+        r = sys.matrix @ x
+        r[-1] -= v_in
+        residual = r.item(np.abs(r, out=r).argmax())  # the max, or a NaN in r
+    else:
+        x, residual = stack.x[i], stack.res.item(i)
     # The auxiliary unknown is the current out of the input node into the
     # source; the delivered current is its negative.
     i_src = -x.item(-1)
@@ -329,8 +367,8 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     Given one topology, returns its SimulationTrace.  Given a sequence,
     returns a TraceBatch of the members' traces, each bit-identical to the
     member's own run: the members share each device-kernel call and the
-    assembly bincount, which act entry by entry, but every member solves
-    its own system.
+    assembly bincount, which act entry by entry, and members with systems
+    of one size share a stacked LAPACK solve, the same dgesv per matrix.
 
     A batch raises its lowest-index failing member's error, the one that
     member raises in its solo run, with ``member = m`` (and a solve
@@ -384,6 +422,8 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
             except Exception as exc:
                 exc.member = m
                 live, failure = m, exc
+                for gone in systems[m:]:  # members m and above leave their stacks
+                    gone._stack.live = min(gone._stack.live, gone._slot)
                 break
         if not live:
             break

@@ -5,6 +5,7 @@ an error, so every patch target must resolve where the tracer looks it up,
 and the traced counts must agree with the records.
 """
 
+import numpy as np
 import pytest
 
 from perfbench.tracer import PATCHES, Tracer
@@ -41,3 +42,30 @@ def test_traced_counts_match_records():
             assert c["topology.edges"] == rec.edge_count
     finally:
         tracer.uninstall()
+
+
+def test_every_lu_runs_inside_a_solve_span(monkeypatch):
+    """A K=3 lockstep step solves its members as one stack, inside the
+    first member's ``solver.solve`` span: ``solver.solve_s`` holds every LU,
+    and ``solver.solves`` and ``solver.dim`` stay one per member per step."""
+    cfg, hier = SweepConfig(duration=0.05), HierarchyConfig(k=3)
+    tracer = Tracer()
+    real, spans, rows = np.linalg.solve, [], []
+
+    def lu(a, b):
+        spans.append((tracer.names[tracer.name[tracer._stack[-1]]], a.ndim))
+        rows.append(a.shape[-1] * (a.shape[0] if a.ndim == 3 else 1))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", lu)
+    tracer.install()
+    try:
+        rec = harness.run_hierarchy(cfg, hier, 1.0, 2.0, 2, 8.0, seed=5)
+        c = tracer.take_counts()
+    finally:
+        tracer.uninstall()
+    assert rec.error == ""
+    # at this seed two members share a size and are solved as one stack
+    assert set(spans) == {("solver.solve", 2), ("solver.solve", 3)}
+    assert c["solver.solves"] == 50 * hier.k
+    assert c["solver.dim_sum"] == sum(rows)  # the rows the LU calls solved

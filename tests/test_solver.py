@@ -80,6 +80,14 @@ class TestAssembleSolve:
             with pytest.raises(NumericalError, match="exceeds bound") as exc:
                 solve_step(assemble(t, 4.0), step=3)
             assert exc.value.step == 3
+            # a stack of two reports the residual and bound of a solo run
+            errors = []
+            for members in (t, [t, t]):
+                with pytest.raises(NumericalError) as exc:
+                    simulate(members, lambda _: 4.0, dt=1e-3, duration=2e-3)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1] and "exceeds bound" in errors[0]
+            assert exc.value.member == 0
 
     def test_no_path_rejected(self):
         t = linear_topology([(1, 2, 1.0)])
@@ -185,6 +193,32 @@ class TestLaggedReference:
         if amplitude == 8.0:
             assert got.switching_events > 0
 
+    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
+    def test_interleaved_sizes_bit_equal(self, amplitude):
+        # members of 49, 47, 49, 47 and 49 unknowns: each size's matrices are
+        # solved as one stack, whose members are not neighbours in member order
+        members = _interleaved_members()
+        wave = sine_waveform(amplitude)
+        dt, n_steps = 1e-3, 200
+        got = simulate(members, wave, dt=dt, duration=n_steps * dt)
+        for t, trace in zip(members, got):
+            v_in, i_src, voltages, flips = lagged_run(t, wave, dt, n_steps)
+            iface = voltages[:, t.grid.interface_indices]
+            assert trace.applied_voltage.tobytes() == v_in.tobytes()
+            assert trace.source_current.tobytes() == i_src.tobytes()
+            assert trace.interface_voltages.tobytes() == iface.tobytes()
+            assert trace.switching_events == flips
+
+
+def _interleaved_members():
+    """Five 49-node networks whose systems have 49, 47, 49, 47 and 49 rows."""
+    members = [generate_network(Grid(4, 1), BetaShape(1, 5), 2,
+                                default_ranges(), seed)
+               for seed in (701, 700, 702, 706, 707)]
+    assert [assemble(t, 1.0).matrix.shape[0] for t in members] == \
+        [49, 47, 49, 47, 49]
+    return members
+
 
 class TestPowerBalance:
     @pytest.mark.parametrize("amplitude", [1.0, 8.0])
@@ -271,19 +305,48 @@ class TestNewtonReference:
         # from the reference's by 3.1e-4 relative and H by 6.5e-4 bits (8% of
         # 0.0079); over seeds 0-7 of the same cell, by at most 3.1e-3 and
         # 1.1e-3 bits.
+        self.check_simulate_matches(1.0, 1e-3, 1.5e-3)
+
+    def test_simulate_matches_at_2v(self):
+        # Measured on this network: E differs by 2.2e-4 relative and H by
+        # 1.75e-3 bits (0.0255 against 0.0272); over seeds 0-11 of the same
+        # cell, by at most 1.8e-2 and 6.5e-3 bits.
+        self.check_simulate_matches(2.0, 1e-3, 2.5e-3)
+
+    @staticmethod
+    def check_simulate_matches(amplitude, rel_energy, abs_entropy):
         t = _reference_network()
-        wave = sine_waveform(1.0)
-        v_in, i_src, voltages, _, _, flips = newton_run(t, wave, 1e-3, 200)
+        wave = sine_waveform(amplitude)
+        ref = _newton_trace(t, wave, 1e-3, 200)
         trace = simulate(t, wave, dt=1e-3, duration=0.2)
-        ref = SimulationTrace(times=trace.times, dt=1e-3,
-                              interface_voltages=voltages[:, t.grid.interface_indices],
-                              source_current=i_src, applied_voltage=v_in,
-                              switching_events=flips)
         assert energy(trace).energy_joules == \
-            pytest.approx(energy(ref).energy_joules, rel=1e-3)
+            pytest.approx(energy(ref).energy_joules, rel=rel_energy)
         assert entropy(trace.interface_voltages).entropy_bits == \
-            pytest.approx(entropy(ref.interface_voltages).entropy_bits, abs=1.5e-3)
-        assert trace.switching_events == flips
+            pytest.approx(entropy(ref.interface_voltages).entropy_bits,
+                          abs=abs_entropy)
+        assert trace.switching_events == ref.switching_events
+
+    @pytest.mark.parametrize("amplitude,first_halving", [(2.0, 1e-2), (8.0, 2e-2)])
+    def test_energy_converges_in_dt(self, amplitude, first_halving):
+        # One period at dt 1e-3, 5e-4 and 2.5e-4.  Measured at 2 V: E
+        # 1.57333e-4, 1.57262e-4 and 1.57392e-4 (halvings move it by 0.05%
+        # and 0.08%).  At 8 V: 0.0266929, 0.0263069 and 0.0263193, so the
+        # first halving moves E by 1.47%, above 1%, and the second by 0.05%.
+        t = _reference_network()
+        e = [energy(_newton_trace(t, sine_waveform(amplitude), dt,
+                                  round(0.2 / dt))).energy_joules
+             for dt in (1e-3, 5e-4, 2.5e-4)]
+        assert e[0] == pytest.approx(e[1], rel=first_halving)
+        assert e[1] == pytest.approx(e[2], rel=1e-2)
+
+
+def _newton_trace(t, waveform, dt, n_steps):
+    """The reference's run as a SimulationTrace, one row per step."""
+    v_in, i_src, voltages, _, _, flips = newton_run(t, waveform, dt, n_steps)
+    return SimulationTrace(times=np.arange(n_steps) * dt, dt=dt,
+                           interface_voltages=voltages[:, t.grid.interface_indices],
+                           source_current=i_src, applied_voltage=v_in,
+                           switching_events=flips)
 
 
 GOOD = linear_topology([(0, 5, 1.0), (5, 10, 1.0), (10, 15, 1.0)])
@@ -546,6 +609,50 @@ class TestSimulate:
             simulate([short, long], lambda t: 1.0, dt=1e-3, duration=0.01)
         assert exc.value.member == 0
 
+    def test_singular_member_raises_linear_solve_error(self, monkeypatch):
+        # member 2's conductances cancel its parallel floor at step 3, so its
+        # conductance block is zero and its matrix singular; members 0 and 1
+        # step on to the end, with the bits of their solo runs
+        members = [generate_network(Grid(4, 1), BetaShape(1, 5), 4,
+                                    default_ranges(), seed) for seed in range(4)]
+        assert len({assemble(t, 1.0).matrix.shape for t in members}) == 1
+        wave = sine_waveform(1.0)
+        solo = [simulate(t, wave, dt=1e-3, duration=0.01) for t in members[:2]]
+        start = sum(t.edge_count for t in members[:2])
+        edges = slice(start, start + members[2].edge_count)
+        real_g, real_solve = device.conductance_batch, solver.solve_step
+        ids, solved, steps = {}, [], []
+
+        def conductance(*args, **kwargs):
+            g = real_g(*args, **kwargs)
+            steps.append(len(steps))
+            if steps[-1] == 3:
+                g[edges] = -args[6][edges]  # g + g_floor == 0 on every edge
+            return g
+
+        def solve(sys, step=None):
+            m = ids.setdefault(id(sys), len(ids))  # step 0 is in order
+            v, i_src = real_solve(sys, step=step)
+            solved.append((m, step, v.copy(), i_src))
+            return v, i_src
+
+        monkeypatch.setattr(device, "conductance_batch", conductance)
+        monkeypatch.setattr(solver, "solve_step", solve)
+        with pytest.raises(NumericalError) as exc:
+            simulate(members, wave, dt=1e-3, duration=0.01)
+        assert (exc.value.member, exc.value.step) == (2, 3)
+        assert str(exc.value) == "linear solve failed: Singular matrix (step 3)"
+        iface = members[0].grid.interface_indices
+        for m, trace in enumerate(solo):
+            got = [(k, v, i_src) for i, k, v, i_src in solved if i == m]
+            assert [k for k, _, _ in got] == list(range(10))
+            assert np.array([v[iface] for _, v, _ in got]).tobytes() == \
+                trace.interface_voltages.tobytes()
+            assert np.array([i_src for _, _, i_src in got]).tobytes() == \
+                trace.source_current.tobytes()
+        for m in (2, 3):
+            assert [k for i, k, _, _ in solved if i == m] == [0, 1, 2]
+
     def test_numerical_error_carries_step_index(self):
         err = NumericalError("boom", step=17)
         assert "step 17" in str(err)
@@ -553,6 +660,32 @@ class TestSimulate:
 
 
 class TestSetup:
+    def test_one_stacked_solve_per_size_and_step(self, monkeypatch):
+        # member 3 fails at step 2; from step 3 the stacks hold members 0-2
+        members = _interleaved_members()
+        real_lu, real_solve = np.linalg.solve, solver.solve_step
+        ids, calls, at = {}, [], {"step": None}
+
+        def lu(a, b):
+            calls.append((at["step"], a.shape[-1], a.shape[0] if a.ndim == 3 else 1))
+            return real_lu(a, b)
+
+        def flaky(sys, step=None):
+            at["step"] = step
+            if ids.setdefault(id(sys), len(ids)) == 3 and step == 2:
+                raise NumericalError("member 3 failed", step=step)
+            return real_solve(sys, step=step)
+
+        monkeypatch.setattr(np.linalg, "solve", lu)
+        monkeypatch.setattr(solver, "solve_step", flaky)
+        with pytest.raises(NumericalError) as exc:
+            simulate(members, sine_waveform(1.0), dt=1e-3, duration=6e-3)
+        assert (exc.value.member, exc.value.step) == (3, 2)
+        stacks = {k: sorted((d, g) for s, d, g in calls if s == k)
+                  for k in range(6)}
+        assert stacks == {k: [(47, 2), (49, 3)] if k < 3 else [(47, 1), (49, 2)]
+                          for k in range(6)}
+
     def test_one_union_find_per_member(self, monkeypatch):
         # each member's rows come from the labels its check computes
         members = [_with_island(generate_network(Grid(4, 1), BetaShape(1, 5), 2,
