@@ -52,32 +52,29 @@ class LinearSystem:
     stamped with max(G, g_floor) + g_floor: the device kernel floors its
     conductance, and the assembler adds a parallel g_floor path.  With that
     positive floor on every edge the reduced system is nonsingular.
-    ``diag_max[0]`` is the largest diagonal entry of ``matrix``.
-    ``_gather`` is a buffer longer than the unknowns whose last entry stays
-    0: ``solve_step`` copies the unknowns to its start and gathers the node
-    voltages from it by ``node_rows``, so row -1 reads 0 V.  ``matrix`` is
-    entry ``_slot`` of ``_stack``, the members of its size.
+    ``matrix`` is entry ``_slot`` of ``_stack``, the members of its size,
+    which holds the rest of what ``solve_step`` reads.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     node_rows: np.ndarray
-    diag_max: np.ndarray
-    _gather: np.ndarray = field(repr=False)
     _stack: "_Stack" = field(repr=False)
     _slot: int = field(repr=False)
 
 
 class _Stack:
-    """Same-size lockstep members' matrices, one ``(G, d, d)`` view in
-    member order, and their rhs as ``(G, d, 1)`` (numpy 1 takes a 1-D b
-    only with a 2-D a).  Each step the first member's solve_step leaves the
-    first ``live`` solutions and residual norms in ``x`` and ``res``; below
-    2 live, or with None in ``x`` (a singular matrix), each solves alone."""
+    """Same-size lockstep members' solve state, in member order: their
+    matrices as one ``(G, d, d)`` view, their shared 1-D rhs, each one's
+    largest diagonal entry in ``diag_max`` and a gather buffer longer than
+    the unknowns whose last entry stays 0.  Each step the first member's
+    solve_step leaves the first ``live`` solutions and residual norms in
+    ``x`` and ``res``; below 2 live, or with None in ``x`` (a singular
+    matrix), each solves alone."""
 
-    def __init__(self, matrices, rhs):
-        self.matrices, self.live, self.x = matrices, len(matrices), None
-        self.rhs = np.broadcast_to(rhs[:, None], (self.live, rhs.size, 1))
+    def __init__(self, matrices, rhs, diag_max, gather):
+        self.matrices, self.rhs, self.diag_max, self.gather = matrices, rhs, diag_max, gather
+        self.live, self.x = len(matrices), None
 
 
 class _Assembler:
@@ -98,13 +95,10 @@ class _Assembler:
     padded, as LAPACK's blocking depends on the size.  Every rhs is zero
     but for its last entry, so each member's rhs is the tail of one shared
     buffer whose last entry ``build`` sets to the source voltage.  Each
-    step the bincount sums every stamped entry's terms in stamp order, the
-    order of a member assembled alone, and writes only those entries.  It
-    sums g, then negates the off-diagonal sums (their stamps are all -g;
-    there are no self-loops), which is bit for bit the sum of the -g terms:
-    rounding is symmetric in sign.  The stamped conductances and the stamp
-    weights have a buffer each, refilled every step.  An error in member
-    m's set-up carries ``member = m``.
+    step ``build`` writes the four signed stamp weights into one buffer,
+    and the bincount sums every stamped entry's terms in stamp order, the
+    order of a member assembled alone, and writes only those entries.  An
+    error in member m's set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -144,30 +138,26 @@ class _Assembler:
         self._stamped = np.flatnonzero(np.bincount(flat.ravel())[:size])
         self._bins = np.searchsorted(self._stamped, flat).ravel()
         self._weights = np.empty((4, n_edges))
-        self._sign = np.full(self._stamped.size + 1, -1.0)  # a sign per bin:
-        self._sign[self._bins[:2 * n_edges]] = 1.0  # + for a-a and b-b stamps
         # Each member's first stamped entry, in buffer order; off-diagonal
         # entries are negative, so its largest is on its diagonal.
         self._firsts = np.searchsorted(self._stamped, sorted(offset))
         self._diag_max = np.empty(len(dims))  # in buffer order
-        self._g = np.empty(n_edges)
         self._matrices = np.zeros(size)
         self._rhs = np.zeros(max(dims))
         # one gather buffer serves every member: each solve overwrites at
         # most its first dim entries, never the last
         gather = np.zeros(self._rhs.size + 1)
         self._systems = [None] * len(dims)
-        for d in sorted(set(dims)):  # (position in buffer, member) per dim
-            group = [(p, m) for p, m in enumerate(order) if dims[m] == d]
-            o = offset[group[0][1]]
-            stack = _Stack(self._matrices[o:o + len(group) * d * d]
-                           .reshape(-1, d, d), self._rhs[-d:])
-            for i, (p, m) in enumerate(group):
+        for d in sorted(set(dims)):  # members of one dim, in buffer order
+            group = [m for m in order if dims[m] == d]
+            p, o = order.index(group[0]), offset[group[0]]
+            stack = _Stack(self._matrices[o:o + len(group) * d * d].reshape(-1, d, d),
+                           self._rhs[-d:], self._diag_max[p:p + len(group)], gather)
+            for i, m in enumerate(group):
                 r_in = node_rows[m][topologies[m].input_node]
                 stack.matrices[i, r_in, -1] = stack.matrices[i, -1, r_in] = 1.0
-                self._systems[m] = LinearSystem(
-                    stack.matrices[i], self._rhs[-d:], node_rows[m],
-                    self._diag_max[p:p + 1], gather, stack, i)
+                self._systems[m] = LinearSystem(stack.matrices[i], stack.rhs,
+                                                node_rows[m], stack, i)
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
@@ -188,11 +178,13 @@ class _Assembler:
         p = self.p
         g = dev.conductance_batch(w, branch_voltages, p["epsilon"], p["theta"],
                                   p["gamma"], p["delta"], p["g_floor"])
-        # the parallel floor path per edge, added into this assembler's buffer
-        np.copyto(self._weights, np.add(g, p["g_floor"], out=self._g))
-        entries = np.bincount(self._bins, weights=self._weights.ravel(),
-                              minlength=self._sign.size)
-        entries = np.multiply(entries, self._sign, out=entries)[:-1]
+        # g plus the parallel floor path: + in the a-a and b-b blocks, - in
+        # the a-b and b-a blocks
+        weights = self._weights
+        weights[1] = np.add(g, p["g_floor"], out=weights[0])
+        np.negative(weights[:2], out=weights[2:])
+        entries = np.bincount(self._bins, weights=weights.ravel(),
+                              minlength=self._stamped.size + 1)[:-1]
         self._matrices[self._stamped] = entries
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
         self._rhs[-1] = v_in
@@ -226,13 +218,13 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     if i == 0 and stack.live > 1:  # the first member solves the live ones
         a = stack.matrices[:stack.live]
         try:  # the same dgesv per matrix as a call each, so the same bits
-            x = np.linalg.solve(a, stack.rhs[:stack.live])
+            x = np.linalg.solve(a, stack.rhs)
         except np.linalg.LinAlgError:  # each member finds its singular matrix
             stack.x = None
         else:
-            r = np.matmul(a, x)  # the same dgemv per matrix
+            r = np.matvec(a, x)  # the same dgemv per matrix
             r[:, -1] -= v_in
-            stack.x, stack.res = x[..., 0], np.abs(r, out=r).max(axis=(1, 2))
+            stack.x, stack.res = x, np.abs(r, out=r).max(axis=1)
     if stack.live < 2 or stack.x is None:
         try:
             x = np.linalg.solve(sys.matrix, sys.rhs)
@@ -250,13 +242,13 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     # max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most
     # its diagonal entry, and the source adds a 1: ||A||_inf <= 2 diag_max + 1
     v_in = abs(v_in)
-    bound = x.size * _EPS * ((2.0 * sys.diag_max.item() + 1.0)
+    bound = x.size * _EPS * ((2.0 * stack.diag_max.item(i) + 1.0)
                              * max(v_in, abs(i_src)) + v_in)
     if not residual <= bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
     # row -1 (ground, floating islands) picks the buffer's last entry, 0 V
-    gather = sys._gather
+    gather = stack.gather
     gather[:x.size] = x
     return gather[sys.node_rows], i_src
 

@@ -3,13 +3,17 @@
 These deliberately avoid the package's assembly and solve paths: the
 nodal equations are built with plain Python loops, the input voltage is
 substituted directly (no auxiliary current unknown), and the system is
-solved by hand-rolled Gaussian elimination.  Generation is checked against
-the straightforward search over the full n x n distance map.  The device
-kernels are checked against their formulas written with np.where, and
-``simulate`` against a plain lagged stepping loop built on them.  A
+solved by hand-rolled Gaussian elimination.  An exact rational
+elimination gives the true solution of an assembled float system.
+Generation is checked against the straightforward search over the full
+n x n distance map.  The device kernels are checked against their
+formulas written with np.where, and ``simulate`` against a plain lagged
+stepping loop built on them.  A
 damped-Newton loop on the same kernels solves each step's circuit
 self-consistently, the reference for the converged step.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +40,29 @@ def gaussian_elimination(A, b):
     x = np.zeros(n)
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - A[row, row + 1:] @ x[row + 1:]) / A[row, row]
+    return x
+
+
+def exact_solve(A, b):
+    """The exact solution of ``A x = b`` as a list of Fractions.
+
+    Every float is a binary fraction, so Gaussian elimination over
+    ``fractions.Fraction`` solves the float system with no rounding at all.
+    """
+    n = len(b)
+    M = [[Fraction(v) for v in row] + [Fraction(bv)]
+         for row, bv in zip(np.asarray(A).tolist(), np.asarray(b).tolist())]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        for row in range(col + 1, n):
+            f = M[row][col] / M[col][col]
+            if f:
+                for c in range(col, n + 1):
+                    M[row][c] -= f * M[col][c]
+    x = [Fraction(0)] * n
+    for row in range(n - 1, -1, -1):
+        x[row] = (M[row][n] - sum(M[row][c] * x[c] for c in range(row + 1, n))) / M[row][row]
     return x
 
 
