@@ -4,8 +4,9 @@ Each time step the network is treated as a stationary resistive circuit:
 device conductances are evaluated at the previous step's branch voltages,
 the resulting linear system (nodal equations plus one auxiliary current
 unknown for the ideal voltage source) is solved, and every device's
-internal state is advanced with the fresh branch voltages.  Same-size
-lockstep systems are solved by one stacked LAPACK call, bit for bit.
+internal state is advanced with the fresh branch voltages.  Systems below
+``_CG_MIN_DIM`` rows are solved by LU, same-size lockstep ones by one
+stacked LAPACK call, bit for bit; larger ones by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ DEFAULT_DT = 1e-3        # s
 DEFAULT_DURATION = 1.0   # s
 # duration / dt must stay below this: float64 counts steps exactly below it
 _MAX_STEPS = 2 ** 53
+# Systems of this dim or more are solved by CG (the measured crossover with
+# LU), in at most this fraction of their node rows' iterations, else by LU.
+_CG_MIN_DIM = 240
+_CG_BUDGET = 0.5
 
 
 def sine_waveform(amplitude: float, frequency: float = DEFAULT_FREQUENCY) -> Callable[[float], float]:
@@ -53,7 +58,7 @@ class LinearSystem:
     conductance, and the assembler adds a parallel g_floor path.  With that
     positive floor on every edge the reduced system is nonsingular.
     ``matrix`` is entry ``_slot`` of ``_stack``, the members of its size,
-    which holds the rest of what ``solve_step`` reads.
+    which holds the rest of what ``solve_step`` reads, as ``_cg`` does for CG.
     """
 
     matrix: np.ndarray
@@ -61,6 +66,7 @@ class LinearSystem:
     node_rows: np.ndarray
     _stack: "_Stack" = field(repr=False)
     _slot: int = field(repr=False)
+    _cg: Optional["_Cg"] = field(default=None, repr=False)
 
 
 class _Stack:
@@ -75,6 +81,17 @@ class _Stack:
     def __init__(self, matrices, rhs, diag_max, gather):
         self.matrices, self.rhs, self.diag_max, self.gather = matrices, rhs, diag_max, gather
         self.live, self.x = len(matrices), None
+
+
+class _Cg:
+    """A CG-size member's node block as sparse entries (their span of the
+    stamped entries, rows, columns, diagonal positions and step's ``vals``),
+    its input row, and ``u``: its last solution over its v_in, or e_r_in."""
+    def __init__(self, stamped, offset, d, r_in):
+        lo, hi = np.searchsorted(stamped, (offset, offset + d * d))
+        self.rows, self.cols = np.divmod(stamped[lo:hi] - offset, d)
+        self.span, self.diag = slice(lo, hi), np.flatnonzero(self.rows == self.cols)
+        self.r_in, self.u, self.vals = r_in, np.eye(1, d - 1, r_in)[0], None
 
 
 class _Assembler:
@@ -156,8 +173,10 @@ class _Assembler:
             for i, m in enumerate(group):
                 r_in = node_rows[m][topologies[m].input_node]
                 stack.matrices[i, r_in, -1] = stack.matrices[i, -1, r_in] = 1.0
+                cg = _Cg(self._stamped, offset[m], d, r_in) if d >= _CG_MIN_DIM else None
                 self._systems[m] = LinearSystem(stack.matrices[i], stack.rhs,
-                                                node_rows[m], stack, i)
+                                                node_rows[m], stack, i, cg)
+        self._cgs = [s._cg for s in self._systems if s._cg is not None]
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
@@ -187,6 +206,8 @@ class _Assembler:
                               minlength=self._stamped.size + 1)[:-1]
         self._matrices[self._stamped] = entries
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
+        for cg in self._cgs:  # CG reads the entries, not the matrix
+            cg.vals = entries[cg.span]
         self._rhs[-1] = v_in
         return self._systems
 
@@ -203,6 +224,66 @@ def assemble(t: NetworkTopology, v_in: float) -> LinearSystem:
     return asm.build(t.w, np.zeros(t.edge_count), v_in)[0]
 
 
+def _bound(sys: LinearSystem, x: np.ndarray, v_in: float) -> float:
+    """The gate on x's residual, dim * eps (||A|| ||x|| + ||b||) in the inf
+    norm: ||b|| = |v_in|; node voltages lie in [0, v_in], so ||x|| =
+    max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most its
+    diagonal entry, and the source adds a 1: ||A|| <= 2 diag_max + 1."""
+    v_in = abs(v_in)
+    return x.size * _EPS * ((2.0 * sys._stack.diag_max.item(sys._slot) + 1.0)
+                            * max(v_in, abs(x.item(-1))) + v_in)
+
+
+def _residual(sys: LinearSystem, x: np.ndarray, v_in: float) -> float:
+    """max |A x - b| over the dense matrix, or a NaN in it."""
+    r = sys.matrix @ x
+    r[-1] -= v_in
+    return r.item(np.abs(r, out=r).argmax())
+
+
+def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
+    """(x, residual) for a CG-size member: x, its bordered solution with
+    x[-1] = -(G v)[r_in], passes the gate, or is None past the iteration
+    budget or a second missed gate.  Jacobi-preconditioned CG on the node
+    block, input row pinned, starts from u * v_in and stops at a recursive
+    residual of bound / 20; a missed gate restarts it from the true one."""
+    cg, d = sys._cg, sys.rhs.size
+    if v_in == 0.0:  # solved exactly by zeros
+        return np.zeros(d), 0.0
+    diag = cg.vals[cg.diag]
+    if not diag.min() > 0.0:  # not positive definite: LU decides
+        return None, None
+    x = np.append(cg.u * v_in, 0.0)
+    budget, it = int(_CG_BUDGET * (d - 1)), 0
+    stop = _bound(sys, x, v_in) / 20.0  # x[-1] = 0: the bound's least value
+    for _ in range(2):  # a start, then one restart
+        r = -np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
+        r[cg.r_in] = 0.0  # the pinned row
+        z = r / diag
+        p, rz = z, r @ z
+        while np.abs(r).max() > stop:
+            if it == budget:
+                return None, None
+            it += 1
+            ap = np.bincount(cg.rows, cg.vals * p[cg.cols], minlength=d - 1)
+            ap[cg.r_in] = 0.0
+            pap = p @ ap
+            if rz == 0.0 or not pap > 0.0:
+                break
+            alpha = rz / pap
+            x[:-1] += alpha * p
+            r -= alpha * ap
+            z = r / diag
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        x[-1] = -np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1).item(cg.r_in)
+        residual = _residual(sys, x, v_in)
+        if residual <= _bound(sys, x, v_in):
+            cg.u = x[:-1] / v_in
+            return x, residual
+    return None, None
+
+
 def solve_step(sys: LinearSystem, step: Optional[int] = None):
     """Solve one assembled step.
 
@@ -210,43 +291,42 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     fixed at 0 V, and the current delivered by the source.  Raises
     NumericalError if the solve fails or its normwise backward error
     ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) exceeds dim * eps.
-    Lockstep members call it once each per step, in member order: the
-    first member of a size solves that size's live members.
+    Lockstep members call it once each per step, in member order.  At dim
+    ``_CG_MIN_DIM`` or more each solves its own system by CG under the same
+    gate, by LU if CG misses it; below, the first member of a size solves
+    that size's live members by one stacked LU.
     """
     stack, i = sys._stack, sys._slot
     v_in = sys.rhs.item(-1)  # b is zero but for the source row, which holds v_in
-    if i == 0 and stack.live > 1:  # the first member solves the live ones
-        a = stack.matrices[:stack.live]
-        try:  # the same dgesv per matrix as a call each, so the same bits
-            x = np.linalg.solve(a, stack.rhs)
-        except np.linalg.LinAlgError:  # each member finds its singular matrix
-            stack.x = None
-        else:
-            r = np.matvec(a, x)  # the same dgemv per matrix
-            r[:, -1] -= v_in
-            stack.x, stack.res = x, np.abs(r, out=r).max(axis=1)
-    if stack.live < 2 or stack.x is None:
+    x = None
+    if sys._cg is not None:
+        x, residual = _cg_solve(sys, v_in)
+    elif stack.live > 1:
+        if i == 0:  # the first member solves the live ones
+            a = stack.matrices[:stack.live]
+            try:  # the same dgesv per matrix as a call each, so the same bits
+                xs = np.linalg.solve(a, stack.rhs)
+            except np.linalg.LinAlgError:  # each member finds its singular matrix
+                stack.x = None
+            else:
+                r = np.matvec(a, xs)  # the same dgemv per matrix
+                r[:, -1] -= v_in
+                stack.x, stack.res = xs, np.abs(r, out=r).max(axis=1)
+        if stack.x is not None:
+            x, residual = stack.x[i], stack.res.item(i)
+    if x is None:
         try:
             x = np.linalg.solve(sys.matrix, sys.rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"linear solve failed: {exc}", step=step) from None
-        r = sys.matrix @ x
-        r[-1] -= v_in
-        residual = r.item(np.abs(r, out=r).argmax())  # the max, or a NaN in r
-    else:
-        x, residual = stack.x[i], stack.res.item(i)
-    # The auxiliary unknown is the current out of the input node into the
-    # source; the delivered current is its negative.
-    i_src = -x.item(-1)
-    # ||b||_inf = |v_in|; node voltages lie in [0, v_in], so ||x||_inf =
-    # max(|v_in|, |i_src|); a row's off-diagonal magnitudes sum to at most
-    # its diagonal entry, and the source adds a 1: ||A||_inf <= 2 diag_max + 1
-    v_in = abs(v_in)
-    bound = x.size * _EPS * ((2.0 * stack.diag_max.item(i) + 1.0)
-                             * max(v_in, abs(i_src)) + v_in)
+        residual = _residual(sys, x, v_in)
+    bound = _bound(sys, x, v_in)
     if not residual <= bound:
         raise NumericalError(
             f"residual {residual:.3e} exceeds bound {bound:.3e}", step=step)
+    # The auxiliary unknown is the current out of the input node into the
+    # source; the delivered current is its negative.
+    i_src = -x.item(-1)
     # row -1 (ground, floating islands) picks the buffer's last entry, 0 V
     gather = stack.gather
     gather[:x.size] = x

@@ -241,12 +241,16 @@ def _interleaved_members():
 
 
 class TestPowerBalance:
-    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
-    def test_source_power_equals_dissipation(self, monkeypatch, amplitude):
+    # The 256-node network is solved by CG.  At 8 V it misses 1e-10 under
+    # LU as well (1.0e-10; CG 1.1e-9), so it runs at 1 V only.
+    @pytest.mark.parametrize("grid, amplitude", [
+        pytest.param(Grid(4, 1), 1.0, id="1.0"),
+        pytest.param(Grid(4, 1), 8.0, id="8.0"),
+        pytest.param(Grid(6, 2), 1.0, id="cg-1.0")])
+    def test_source_power_equals_dissipation(self, monkeypatch, grid, amplitude):
         # Tellegen's theorem: at every step the source delivers the power
         # the devices dissipate, each stamped with g + g_floor
-        t = generate_network(Grid(4, 1), BetaShape(5, 1), 4,
-                             default_ranges(), 1200)
+        t = generate_network(grid, BetaShape(5, 1), 4, default_ranges(), 1200)
         floors = t.params[:, _PARAM_KEYS.index("g_floor")]
         steps = []
         real_g, real_solve = device.conductance_batch, solver.solve_step
@@ -269,6 +273,89 @@ class TestPowerBalance:
             dissipated = np.sum((g_e + floors) * (v[t.a] - v[t.b]) ** 2)
             assert abs(delivered - dissipated) <= \
                 1e-10 * max(abs(delivered), dissipated)
+
+
+def _cg_network(seed):
+    """A network on the smallest lattice whose systems CG solves: 256 nodes
+    (those of the 225-node lattice stay below ``_CG_MIN_DIM``)."""
+    t = generate_network(Grid(6, 2), BetaShape(1, 5), 4, default_ranges(), seed)
+    assert 15 ** 2 < solver._CG_MIN_DIM <= assemble(t, 1.0).matrix.shape[0]
+    return t
+
+
+def _recorded_solves(monkeypatch):
+    """Wrap solve_step; the list gets each call's node voltages."""
+    real, solved = solver.solve_step, []
+
+    def solve(sys, step=None):
+        v, i_src = real(sys, step=step)
+        solved.append(v.copy())
+        return v, i_src
+
+    monkeypatch.setattr(solver, "solve_step", solve)
+    return solved
+
+
+class TestConjugateGradients:
+    """Systems of dim ``_CG_MIN_DIM`` or more, solved by CG under the gate."""
+
+    @pytest.mark.parametrize("amplitude", [4.0, 8.0])
+    def test_matches_lu_reference(self, monkeypatch, amplitude):
+        # every node voltage within 1e-10 |v_in| of the LU reference's
+        # (measured at most 8.4e-12 over seeds 0-2), the same switching
+        t, wave, n_steps = _cg_network(0), sine_waveform(amplitude), 30
+        solved = _recorded_solves(monkeypatch)
+        trace = simulate(t, wave, dt=1e-3, duration=n_steps * 1e-3)
+        v_in, i_src, voltages, flips = lagged_run(t, wave, 1e-3, n_steps)
+        got = np.array(solved)
+        assert not np.array_equal(got, voltages)  # CG ran, not LU
+        assert np.all(np.abs(got - voltages) <= 1e-10 * np.abs(v_in)[:, None])
+        assert np.all(np.abs(trace.source_current - i_src) <= 1e-10 * np.abs(v_in))
+        assert trace.switching_events == flips > 0
+
+    def test_fallback_is_lu(self, monkeypatch):
+        # with no iteration allowed every step falls back to the LU path
+        t, wave, n_steps = _cg_network(1), sine_waveform(8.0), 30
+        monkeypatch.setattr(solver, "_CG_BUDGET", 0)
+        trace = simulate(t, wave, dt=1e-3, duration=n_steps * 1e-3)
+        v_in, i_src, voltages, flips = lagged_run(t, wave, 1e-3, n_steps)
+        assert trace.source_current.tobytes() == i_src.tobytes()
+        assert trace.interface_voltages.tobytes() == \
+            voltages[:, t.grid.interface_indices].tobytes()
+        assert trace.switching_events == flips
+
+    def test_lockstep_members_bit_equal_to_solo(self):
+        members = [_cg_network(seed) for seed in (0, 2)]
+        wave = sine_waveform(8.0)
+        got = simulate(members, wave, dt=1e-3, duration=0.03)
+        for t, trace in zip(members, got):
+            solo = simulate(t, wave, dt=1e-3, duration=0.03)
+            assert trace.source_current.tobytes() == solo.source_current.tobytes()
+            assert trace.interface_voltages.tobytes() == \
+                solo.interface_voltages.tobytes()
+            assert trace.switching_events == solo.switching_events
+
+    def test_failing_member_raises_numerical_error(self, monkeypatch):
+        # member 1's conductances cancel its floor path at step 3: its block
+        # is not positive definite, so LU takes it and finds it singular
+        members = [_cg_network(seed) for seed in (0, 2)]
+        edges = slice(members[0].edge_count, None)
+        real_g, steps = device.conductance_batch, []
+
+        def conductance(*args, **kwargs):
+            g = real_g(*args, **kwargs)
+            steps.append(len(steps))
+            if steps[-1] == 3:
+                g[edges] = -args[6][edges]
+            return g
+
+        monkeypatch.setattr(device, "conductance_batch", conductance)
+        solved = _recorded_solves(monkeypatch)
+        with pytest.raises(NumericalError) as exc:
+            simulate(members, sine_waveform(4.0), dt=1e-3, duration=0.01)
+        assert (exc.value.member, exc.value.step) == (1, 3)
+        assert str(exc.value) == "linear solve failed: Singular matrix (step 3)"
+        assert len(solved) == 3 * 2 + 7  # member 0 steps on to the end
 
 
 def _reference_network():
