@@ -6,7 +6,8 @@ the resulting linear system (nodal equations plus one auxiliary current
 unknown for the ideal voltage source) is solved, and every device's
 internal state is advanced with the fresh branch voltages.  Systems below
 ``_CG_MIN_DIM`` rows are solved by LU, same-size lockstep ones by one
-stacked LAPACK call, bit for bit; larger ones by conjugate gradients.
+stacked LAPACK call, bit for bit; larger ones by conjugate gradients on
+their sparse entries, with no dense matrix unless LU has to take over.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_DURATION = 1.0   # s
 # duration / dt must stay below this: float64 counts steps exactly below it
 _MAX_STEPS = 2 ** 53
 # Systems of this dim or more are solved by CG (the measured crossover with
-# LU), in at most this fraction of their node rows' iterations, else by LU.
+# LU, unmoved by the matrix-free CG), in at most this fraction of their node rows' iterations, else by LU.
 _CG_MIN_DIM = 240
 _CG_BUDGET = 0.5
 
@@ -40,6 +41,17 @@ def sine_waveform(amplitude: float, frequency: float = DEFAULT_FREQUENCY) -> Cal
     frequency = _finite(frequency, "frequency", ParameterError)
     two_pi_f = 2.0 * math.pi * frequency
     return lambda t: amplitude * math.sin(two_pi_f * t)
+
+
+class _BuiltMatrix:
+    """``LinearSystem.matrix`` of a CG member: ``_cg.dense()``, a new d x d
+    array on every read.  It serves readers that take any member's
+    ``matrix``; the solver calls ``dense`` itself.  An LU member's stored
+    view is set on the instance, which this descriptor, having no
+    ``__set__``, yields to, so reading that costs no call."""
+
+    def __get__(self, sys, owner=None):
+        return self if sys is None else sys._cg.dense()
 
 
 @dataclass
@@ -57,30 +69,35 @@ class LinearSystem:
     stamped with max(G, g_floor) + g_floor: the device kernel floors its
     conductance, and the assembler adds a parallel g_floor path.  With that
     positive floor on every edge the reduced system is nonsingular.
-    ``matrix`` is entry ``_slot`` of ``_stack``, the members of its size,
-    which holds the rest of what ``solve_step`` reads, as ``_cg`` does for CG.
+    An LU member's ``matrix`` is entry ``_slot`` of ``_stack``, the members
+    of its size, which holds the rest of what ``solve_step`` reads.  A CG
+    member holds no dense matrix: ``_cg`` holds its sparse entries, and
+    each read of its ``matrix`` allocates and fills a new d x d array from
+    them, as the LU fallback does once per fallback.
     """
 
-    matrix: np.ndarray
     rhs: np.ndarray
     node_rows: np.ndarray
     _stack: "_Stack" = field(repr=False)
     _slot: int = field(repr=False)
     _cg: Optional["_Cg"] = field(default=None, repr=False)
 
+    matrix = _BuiltMatrix()
+
 
 class _Stack:
     """Same-size lockstep members' solve state, in member order: their
-    matrices as one ``(G, d, d)`` view, their shared 1-D rhs, each one's
-    largest diagonal entry in ``diag_max`` and a gather buffer longer than
-    the unknowns whose last entry stays 0.  Each step the first member's
-    solve_step leaves the first ``live`` solutions and residual norms in
-    ``x`` and ``res``; below 2 live, or with None in ``x`` (a singular
-    matrix), each solves alone."""
+    matrices as one ``(G, d, d)`` view (None for CG members, which store
+    none), their shared 1-D rhs, each one's largest diagonal entry in
+    ``diag_max`` and a gather buffer longer than the unknowns whose last
+    entry stays 0.  Each step the first LU member's solve_step leaves the
+    first ``live`` solutions and residual norms in ``x`` and ``res``;
+    below 2 live, or with None in ``x`` (a singular matrix), each solves
+    alone."""
 
     def __init__(self, matrices, rhs, diag_max, gather):
         self.matrices, self.rhs, self.diag_max, self.gather = matrices, rhs, diag_max, gather
-        self.live, self.x = len(matrices), None
+        self.live, self.x = len(diag_max), None
 
 
 class _Cg:
@@ -93,10 +110,18 @@ class _Cg:
         self.span, self.diag = slice(lo, hi), np.flatnonzero(self.rows == self.cols)
         self.r_in, self.u, self.vals = r_in, np.eye(1, d - 1, r_in)[0], None
 
+    def dense(self) -> np.ndarray:
+        """The bordered matrix of the step's entries, as a new array."""
+        d = self.u.size + 1
+        a = np.zeros((d, d))
+        a[self.rows, self.cols] = self.vals
+        a[self.r_in, -1] = a[-1, self.r_in] = 1.0
+        return a
+
 
 class _Assembler:
-    """Scatter indices, parameter rows and one matrix buffer for topologies
-    stepped in lockstep.
+    """Scatter indices, parameter rows and the LU members' matrix buffer for
+    topologies stepped in lockstep.
 
     The members' edges and parameter rows are concatenated, so one call of
     each device kernel and one ``np.bincount`` per step serve every member.
@@ -105,17 +130,19 @@ class _Assembler:
     (exact: no source reaches them), which keeps the matrix nonsingular.
     Every edge has four stamps, in four blocks over all edges: +g at
     (a, a), +g at (b, b), -g at (a, b) and -g at (b, a), in unknown rows;
-    a stamp on ground or a floating island goes to a dropped bin.  Every
-    member's matrix lives in one flat buffer, allocated once with the
-    source row and column set.  Members of one dim sit next to each other
-    there, in member order, so each dim is one ``_Stack``; no matrix is
-    padded, as LAPACK's blocking depends on the size.  Every rhs is zero
-    but for its last entry, so each member's rhs is the tail of one shared
-    buffer whose last entry ``build`` sets to the source voltage.  Each
-    step ``build`` writes the four signed stamp weights into one buffer,
-    and the bincount sums every stamped entry's terms in stamp order, the
-    order of a member assembled alone, and writes only those entries.  An
-    error in member m's set-up carries ``member = m``.
+    a stamp on ground or a floating island goes to a dropped bin.  Members
+    are laid out by dim in one flat index space, those of one dim next to
+    each other in member order, so each dim is one ``_Stack``; no matrix
+    is padded, as LAPACK's blocking depends on the size.  LU members come
+    first, and their matrices are stored in one buffer, the prefix of that
+    space, allocated once with the source row and column set; a CG
+    member's matrix is never stored.  Every rhs is zero but for its last
+    entry, so each member's rhs is the tail of one shared buffer whose
+    last entry ``build`` sets to the source voltage.  Each step ``build``
+    writes the four signed stamp weights into one buffer, the bincount
+    sums every stamped entry's terms in stamp order, the order of a member
+    assembled alone, and the LU members' entries are written to the
+    buffer.  An error in member m's set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -144,6 +171,7 @@ class _Assembler:
         offset, size = [0] * len(dims), 0
         for m in order:
             offset[m], size = size, size + dims[m] ** 2
+        lu_size = sum(d * d for d in dims if d < _CG_MIN_DIM)  # the buffer
         flat = []  # (4, E) stamp entries per member, size if dropped
         for t, rows, d, o in zip(topologies, node_rows, dims, offset):
             ra, rb = rows[t.a], rows[t.b]
@@ -151,15 +179,18 @@ class _Assembler:
             flat.append(np.where((r >= 0) & (c >= 0), o + r * d + c, size))
         flat = np.concatenate(flat, axis=1)
         # the stamped entries, each stamp's bin among them, and one more bin
-        # for the stamps that are dropped
-        self._stamped = np.flatnonzero(np.bincount(flat.ravel())[:size])
+        # for the stamps that are dropped; the LU members' entries come first
+        marks = np.zeros(size + 1, dtype=bool)
+        marks[flat] = True
+        self._stamped = np.flatnonzero(marks[:-1])
+        self._lu_stamped = self._stamped[:np.searchsorted(self._stamped, lu_size)]
         self._bins = np.searchsorted(self._stamped, flat).ravel()
         self._weights = np.empty((4, n_edges))
         # Each member's first stamped entry, in buffer order; off-diagonal
         # entries are negative, so its largest is on its diagonal.
         self._firsts = np.searchsorted(self._stamped, sorted(offset))
         self._diag_max = np.empty(len(dims))  # in buffer order
-        self._matrices = np.zeros(size)
+        self._matrices = np.zeros(lu_size)
         self._rhs = np.zeros(max(dims))
         # one gather buffer serves every member: each solve overwrites at
         # most its first dim entries, never the last
@@ -168,22 +199,28 @@ class _Assembler:
         for d in sorted(set(dims)):  # members of one dim, in buffer order
             group = [m for m in order if dims[m] == d]
             p, o = order.index(group[0]), offset[group[0]]
-            stack = _Stack(self._matrices[o:o + len(group) * d * d].reshape(-1, d, d),
+            lu = d < _CG_MIN_DIM
+            stack = _Stack(self._matrices[o:o + len(group) * d * d].reshape(-1, d, d)
+                           if lu else None,
                            self._rhs[-d:], self._diag_max[p:p + len(group)], gather)
             for i, m in enumerate(group):
                 r_in = node_rows[m][topologies[m].input_node]
-                stack.matrices[i, r_in, -1] = stack.matrices[i, -1, r_in] = 1.0
-                cg = _Cg(self._stamped, offset[m], d, r_in) if d >= _CG_MIN_DIM else None
-                self._systems[m] = LinearSystem(stack.matrices[i], stack.rhs,
-                                                node_rows[m], stack, i, cg)
+                system = LinearSystem(stack.rhs, node_rows[m], stack, i,
+                                      None if lu else _Cg(self._stamped, offset[m], d, r_in))
+                if lu:
+                    system.matrix = stack.matrices[i]
+                    system.matrix[r_in, -1] = system.matrix[-1, r_in] = 1.0
+                self._systems[m] = system
         self._cgs = [s._cg for s in self._systems if s._cg is not None]
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
 
         # one contiguous array per parameter, by name
-        params = np.concatenate([t.params for t in topologies])
-        self.p = dict(zip(dev._PARAM_KEYS, np.ascontiguousarray(params.T)))
+        params = np.empty((len(dev._PARAM_KEYS), n_edges))
+        for t, edges in zip(topologies, self.edge_slices):
+            params[:, edges] = t.params.T
+        self.p = dict(zip(dev._PARAM_KEYS, params))
 
     def build(self, w: np.ndarray, branch_voltages: np.ndarray,
               v_in: float) -> List[LinearSystem]:
@@ -204,9 +241,9 @@ class _Assembler:
         np.negative(weights[:2], out=weights[2:])
         entries = np.bincount(self._bins, weights=weights.ravel(),
                               minlength=self._stamped.size + 1)[:-1]
-        self._matrices[self._stamped] = entries
+        self._matrices[self._lu_stamped] = entries[:self._lu_stamped.size]
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
-        for cg in self._cgs:  # CG reads the entries, not the matrix
+        for cg in self._cgs:  # a CG member has only its entries
             cg.vals = entries[cg.span]
         self._rhs[-1] = v_in
         return self._systems
@@ -234,19 +271,14 @@ def _bound(sys: LinearSystem, x: np.ndarray, v_in: float) -> float:
                             * max(v_in, abs(x.item(-1))) + v_in)
 
 
-def _residual(sys: LinearSystem, x: np.ndarray, v_in: float) -> float:
-    """max |A x - b| over the dense matrix, or a NaN in it."""
-    r = sys.matrix @ x
-    r[-1] -= v_in
-    return r.item(np.abs(r, out=r).argmax())
-
-
 def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
     """(x, residual) for a CG-size member: x, its bordered solution with
     x[-1] = -(G v)[r_in], passes the gate, or is None past the iteration
     budget or a second missed gate.  Jacobi-preconditioned CG on the node
     block, input row pinned, starts from u * v_in and stops at a recursive
-    residual of bound / 20; a missed gate restarts it from the true one."""
+    residual of bound / 20; a missed gate restarts it from the true one.
+    One node-block product G v per round gives x[-1], the gate's residual
+    and the restart's."""
     cg, d = sys._cg, sys.rhs.size
     if v_in == 0.0:  # solved exactly by zeros
         return np.zeros(d), 0.0
@@ -256,8 +288,9 @@ def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
     x = np.append(cg.u * v_in, 0.0)
     budget, it = int(_CG_BUDGET * (d - 1)), 0
     stop = _bound(sys, x, v_in) / 20.0  # x[-1] = 0: the bound's least value
+    gv = np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
     for _ in range(2):  # a start, then one restart
-        r = -np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
+        r = -gv
         r[cg.r_in] = 0.0  # the pinned row
         z = r / diag
         p, rz = z, r @ z
@@ -276,8 +309,12 @@ def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
             z = r / diag
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        x[-1] = -np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1).item(cg.r_in)
-        residual = _residual(sys, x, v_in)
+        gv = np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
+        x[-1] = -gv.item(cg.r_in)
+        # A x - b is G v off the input row and 0 on it, where x[-1] cancels
+        # G v; the source row's x[r_in] - v_in takes the input row's place
+        gv[cg.r_in] = x.item(cg.r_in) - v_in
+        residual = np.abs(gv).max().item()
         if residual <= _bound(sys, x, v_in):
             cg.u = x[:-1] / v_in
             return x, residual
@@ -293,8 +330,9 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) exceeds dim * eps.
     Lockstep members call it once each per step, in member order.  At dim
     ``_CG_MIN_DIM`` or more each solves its own system by CG under the same
-    gate, by LU if CG misses it; below, the first member of a size solves
-    that size's live members by one stacked LU.
+    gate, on its sparse residual, and if CG misses it by LU on a matrix
+    built for the step; below, the first member of a size solves that
+    size's live members by one stacked LU.
     """
     stack, i = sys._stack, sys._slot
     v_in = sys.rhs.item(-1)  # b is zero but for the source row, which holds v_in
@@ -315,11 +353,14 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
         if stack.x is not None:
             x, residual = stack.x[i], stack.res.item(i)
     if x is None:
+        a = sys.matrix if sys._cg is None else sys._cg.dense()
         try:
-            x = np.linalg.solve(sys.matrix, sys.rhs)
+            x = np.linalg.solve(a, sys.rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"linear solve failed: {exc}", step=step) from None
-        residual = _residual(sys, x, v_in)
+        r = a @ x  # max |A x - b|, or a NaN in it
+        r[-1] -= v_in
+        residual = r.item(np.abs(r, out=r).argmax())
     bound = _bound(sys, x, v_in)
     if not residual <= bound:
         raise NumericalError(

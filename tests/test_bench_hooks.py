@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from perfbench.tracer import PATCHES, Tracer
-from rsnsim import harness
+from rsnsim import harness, solver
+from rsnsim.device import default_ranges
 from rsnsim.harness import HierarchyConfig, SweepConfig
+from rsnsim.topology import BetaShape, Grid, generate_network
 
 
 @pytest.mark.parametrize("owner,attr", [(o, a) for o, a, _, _ in PATCHES],
@@ -69,3 +71,22 @@ def test_every_lu_runs_inside_a_solve_span(monkeypatch):
     assert set(spans) == {("solver.solve", 2), ("solver.solve", 3)}
     assert c["solver.solves"] == 50 * hier.k
     assert c["solver.dim_sum"] == sum(rows)  # the rows the LU calls solved
+
+
+def test_traced_counts_of_a_cg_size_run():
+    """A member of ``_CG_MIN_DIM`` rows or more stores no dense matrix; the
+    tracer's ``matrix.shape`` still resolves, so the solve counts stay
+    exact on a 256-node network."""
+    t = generate_network(Grid(6, 2), BetaShape(1, 5), 4, default_ranges(), 0)
+    labels = t.check()
+    dim = int(np.count_nonzero(labels == labels[t.ground_node]))  # unknowns + 1
+    assert dim >= solver._CG_MIN_DIM
+    tracer = Tracer()
+    tracer.install()
+    try:
+        solver.simulate(t, solver.sine_waveform(4.0), dt=1e-3, duration=0.05)
+        c = tracer.take_counts()
+    finally:
+        tracer.uninstall()
+    assert c["solver.solves"] == 50
+    assert c["solver.dim_sum"] == 50 * dim
