@@ -39,12 +39,17 @@ def _fmt(x) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file + rename so failures never leave partial output."""
+    """Write via a temp file + rename so failures never leave partial output.
+    The file gets the mode ``open(path, "w")`` would give, not mkstemp's
+    0600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
             f.write(text)
+        umask = os.umask(0o077)  # the umask is read only by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

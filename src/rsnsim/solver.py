@@ -7,7 +7,8 @@ unknown for the ideal voltage source) is solved, and every device's
 internal state is advanced with the fresh branch voltages.  Systems below
 ``_CG_MIN_DIM`` rows are solved by LU, same-size lockstep ones by one
 stacked LAPACK call, bit for bit; larger ones by conjugate gradients on
-their sparse entries, with no dense matrix unless LU has to take over.
+their sparse entries, which are their ``matrix``: no dense matrix is built
+unless LU has to take over.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ DEFAULT_DT = 1e-3        # s
 DEFAULT_DURATION = 1.0   # s
 # duration / dt must stay below this: float64 counts steps exactly below it
 _MAX_STEPS = 2 ** 53
-# Systems of this dim or more are solved by CG (the measured crossover with
-# LU, unmoved by the matrix-free CG), in at most this fraction of their node rows' iterations, else by LU.
+# Systems of this dim or more are solved by CG, in at most this fraction of
+# their node rows' iterations, else by LU (the measured crossover with LU,
+# unmoved by the matrix-free CG).
 _CG_MIN_DIM = 240
 _CG_BUDGET = 0.5
 
@@ -41,17 +43,6 @@ def sine_waveform(amplitude: float, frequency: float = DEFAULT_FREQUENCY) -> Cal
     frequency = _finite(frequency, "frequency", ParameterError)
     two_pi_f = 2.0 * math.pi * frequency
     return lambda t: amplitude * math.sin(two_pi_f * t)
-
-
-class _BuiltMatrix:
-    """``LinearSystem.matrix`` of a CG member: ``_cg.dense()``, a new d x d
-    array on every read.  It serves readers that take any member's
-    ``matrix``; the solver calls ``dense`` itself.  An LU member's stored
-    view is set on the instance, which this descriptor, having no
-    ``__set__``, yields to, so reading that costs no call."""
-
-    def __get__(self, sys, owner=None):
-        return self if sys is None else sys._cg.dense()
 
 
 @dataclass
@@ -69,26 +60,25 @@ class LinearSystem:
     stamped with max(G, g_floor) + g_floor: the device kernel floors its
     conductance, and the assembler adds a parallel g_floor path.  With that
     positive floor on every edge the reduced system is nonsingular.
-    An LU member's ``matrix`` is entry ``_slot`` of ``_stack``, the members
-    of its size, which holds the rest of what ``solve_step`` reads.  A CG
-    member holds no dense matrix: ``_cg`` holds its sparse entries, and
-    each read of its ``matrix`` allocates and fills a new d x d array from
-    them, as the LU fallback does once per fallback.
+    An LU member's ``matrix`` is its view in its ``_Stack``'s matrices.
+    A CG member's is its ``_Cg``: the same matrix as sparse entries, with
+    a ``shape``; only ``matrix.dense()`` builds a dense array, which the LU
+    fallback does.  Reading ``matrix`` never allocates.  ``_stack`` holds
+    the members of its size and the rest of what ``solve_step`` reads;
+    this member is its entry ``_slot``.
     """
 
+    matrix: Union[np.ndarray, "_Cg"]
     rhs: np.ndarray
     node_rows: np.ndarray
     _stack: "_Stack" = field(repr=False)
     _slot: int = field(repr=False)
-    _cg: Optional["_Cg"] = field(default=None, repr=False)
-
-    matrix = _BuiltMatrix()
 
 
 class _Stack:
     """Same-size lockstep members' solve state, in member order: their
-    matrices as one ``(G, d, d)`` view (None for CG members, which store
-    none), their shared 1-D rhs, each one's largest diagonal entry in
+    matrices as one ``(G, d, d)`` view (None for a CG size, whose members
+    store none), their shared 1-D rhs, each one's largest diagonal entry in
     ``diag_max`` and a gather buffer longer than the unknowns whose last
     entry stays 0.  Each step the first LU member's solve_step leaves the
     first ``live`` solutions and residual norms in ``x`` and ``res``;
@@ -101,19 +91,21 @@ class _Stack:
 
 
 class _Cg:
-    """A CG-size member's node block as sparse entries (their span of the
-    stamped entries, rows, columns, diagonal positions and step's ``vals``),
-    its input row, and ``u``: its last solution over its v_in, or e_r_in."""
+    """A CG-size member's bordered ``matrix`` of ``shape`` (d, d), held as
+    its node block's sparse entries (their span of the stamped entries,
+    rows, columns, diagonal positions and step's ``vals``) and its input
+    row, which the source border joins; ``u`` is its last solution over
+    its v_in, or e_r_in."""
     def __init__(self, stamped, offset, d, r_in):
         lo, hi = np.searchsorted(stamped, (offset, offset + d * d))
         self.rows, self.cols = np.divmod(stamped[lo:hi] - offset, d)
         self.span, self.diag = slice(lo, hi), np.flatnonzero(self.rows == self.cols)
         self.r_in, self.u, self.vals = r_in, np.eye(1, d - 1, r_in)[0], None
+        self.shape = (d, d)
 
     def dense(self) -> np.ndarray:
         """The bordered matrix of the step's entries, as a new array."""
-        d = self.u.size + 1
-        a = np.zeros((d, d))
+        a = np.zeros(self.shape)
         a[self.rows, self.cols] = self.vals
         a[self.r_in, -1] = a[-1, self.r_in] = 1.0
         return a
@@ -136,13 +128,14 @@ class _Assembler:
     is padded, as LAPACK's blocking depends on the size.  LU members come
     first, and their matrices are stored in one buffer, the prefix of that
     space, allocated once with the source row and column set; a CG
-    member's matrix is never stored.  Every rhs is zero but for its last
-    entry, so each member's rhs is the tail of one shared buffer whose
-    last entry ``build`` sets to the source voltage.  Each step ``build``
-    writes the four signed stamp weights into one buffer, the bincount
-    sums every stamped entry's terms in stamp order, the order of a member
-    assembled alone, and the LU members' entries are written to the
-    buffer.  An error in member m's set-up carries ``member = m``.
+    member's matrix is its ``_Cg``, never stored dense.  Every rhs is zero
+    but for its last entry, so each member's rhs is the tail of one shared
+    buffer whose last entry ``build`` sets to the source voltage.  Each
+    step ``build`` writes the four signed stamp weights into one buffer,
+    the bincount sums every stamped entry's terms in stamp order, the
+    order of a member assembled alone, the LU members' entries are written
+    to the buffer, and each ``_Cg`` gets its span of them.  An error in
+    member m's set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -205,13 +198,13 @@ class _Assembler:
                            self._rhs[-d:], self._diag_max[p:p + len(group)], gather)
             for i, m in enumerate(group):
                 r_in = node_rows[m][topologies[m].input_node]
-                system = LinearSystem(stack.rhs, node_rows[m], stack, i,
-                                      None if lu else _Cg(self._stamped, offset[m], d, r_in))
                 if lu:
-                    system.matrix = stack.matrices[i]
-                    system.matrix[r_in, -1] = system.matrix[-1, r_in] = 1.0
-                self._systems[m] = system
-        self._cgs = [s._cg for s in self._systems if s._cg is not None]
+                    matrix = stack.matrices[i]
+                    matrix[r_in, -1] = matrix[-1, r_in] = 1.0
+                else:
+                    matrix = _Cg(self._stamped, offset[m], d, r_in)
+                self._systems[m] = LinearSystem(matrix, stack.rhs, node_rows[m], stack, i)
+        self._cgs = [s.matrix for s in self._systems if s._stack.matrices is None]
         # endpoints as indices into the members' stacked node voltages
         self.a = np.concatenate([t.a + m * n for m, t in enumerate(topologies)])
         self.b = np.concatenate([t.b + m * n for m, t in enumerate(topologies)])
@@ -279,7 +272,7 @@ def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
     residual of bound / 20; a missed gate restarts it from the true one.
     One node-block product G v per round gives x[-1], the gate's residual
     and the restart's."""
-    cg, d = sys._cg, sys.rhs.size
+    cg, d = sys.matrix, sys.rhs.size
     if v_in == 0.0:  # solved exactly by zeros
         return np.zeros(d), 0.0
     diag = cg.vals[cg.diag]
@@ -330,14 +323,14 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
     ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) exceeds dim * eps.
     Lockstep members call it once each per step, in member order.  At dim
     ``_CG_MIN_DIM`` or more each solves its own system by CG under the same
-    gate, on its sparse residual, and if CG misses it by LU on a matrix
-    built for the step; below, the first member of a size solves that
+    gate, on its sparse residual, and if CG misses it by LU on
+    ``matrix.dense()``; below, the first member of a size solves that
     size's live members by one stacked LU.
     """
     stack, i = sys._stack, sys._slot
     v_in = sys.rhs.item(-1)  # b is zero but for the source row, which holds v_in
     x = None
-    if sys._cg is not None:
+    if stack.matrices is None:  # a CG size
         x, residual = _cg_solve(sys, v_in)
     elif stack.live > 1:
         if i == 0:  # the first member solves the live ones
@@ -353,7 +346,7 @@ def solve_step(sys: LinearSystem, step: Optional[int] = None):
         if stack.x is not None:
             x, residual = stack.x[i], stack.res.item(i)
     if x is None:
-        a = sys.matrix if sys._cg is None else sys._cg.dense()
+        a = sys.matrix.dense() if stack.matrices is None else sys.matrix
         try:
             x = np.linalg.solve(a, sys.rhs)
         except np.linalg.LinAlgError as exc:

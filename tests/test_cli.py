@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import warnings
 import zlib
@@ -437,6 +439,32 @@ class TestHierarchyCommand:
         assert main(["hierarchy", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "readout" in caplog.text or key in caplog.text
         assert not (tmp_path / "records.csv").exists()
+
+
+def test_output_files_take_the_umask(tmp_path):
+    """Every file the commands write gets 0666 less the umask, as
+    ``open(path, "w")`` gives, not the temp file's 0600."""
+    old = os.umask(0o022)
+    try:
+        gen = write_json(tmp_path / "gen.json", GEN_DOC)
+        sim = write_json(tmp_path / "sim.json", {"amplitude": 2.0, "duration": 0.05})
+        sweep = write_json(tmp_path / "sweep.json", SWEEP_DOC)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", gen, "--out", str(out / "g")]) == 0
+        assert main(["simulate", "--topology", str(out / "g/topology.json"),
+                     "--config", sim, "--out", str(out / "s")]) == 0
+        assert main(["analyze", "--trace", str(out / "s/trace.csv"),
+                     "--out", str(out / "a")]) == 0
+        assert main(["sweep", "--config", sweep, "--out", str(out / "w"),
+                     "--heatmap"]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(out).as_posix(): stat.S_IMODE(p.stat().st_mode)
+             for p in out.rglob("*") if p.is_file()}
+    assert {"a/analysis.json", "g/manifest.json", "g/topology.json",
+            "s/manifest.json", "s/summary.json", "s/trace.csv", "w/aggregate.csv",
+            "w/manifest.json", "w/records.csv", "w/energy_vs_entropy.png"} <= set(modes)
+    assert set(modes.values()) == {0o644}
 
 
 def test_trace_csv_read_back_matches(tmp_path):

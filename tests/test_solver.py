@@ -326,21 +326,23 @@ class TestConjugateGradients:
         assert trace.switching_events == flips
 
     def test_matrix_on_demand_is_exact(self):
-        # A CG member stores no dense matrix; ``_cg.dense()`` builds one
-        # from its sparse entries, and so does each read of ``matrix``.  At
-        # a mid-run step (conductances at random branch voltages) it equals,
-        # bit for bit, a matrix stamped by np.add.at in the assembler's
-        # stamp order, and the sparse gate's residual agrees
-        # with the dense one to a thousandth of the gate's bound (measured:
-        # within 6e-19, the bound 4.6e-13, over seeds 0-5).
+        # A CG member's ``matrix`` is its stored ``_Cg``, of the dense
+        # shape; only ``dense()`` builds a dense matrix.  At a mid-run step
+        # (conductances at random branch voltages) that equals, bit for
+        # bit, a matrix stamped by np.add.at in the assembler's stamp
+        # order, and the sparse gate's residual agrees with the dense one
+        # to a thousandth of the gate's bound (measured: within 6e-19, the
+        # bound 4.6e-13, over seeds 0-5).
         t = _cg_network(3)
         bias = np.random.default_rng(3).uniform(-4.0, 4.0, t.edge_count)
         sys = solver._Assembler([t]).build(t.w, bias, 4.0)[0]
-        assert sys._cg is not None and "matrix" not in vars(sys)
+        d = sys.rhs.size
+        assert isinstance(sys.matrix, solver._Cg) and "matrix" in vars(sys)
+        assert sys.matrix is sys.matrix and sys.matrix.shape == (d, d)
         p = dict(zip(_PARAM_KEYS, t.params.T))
         g = device.conductance_batch(t.w, bias, p["epsilon"], p["theta"], p["gamma"],
                                      p["delta"], p["g_floor"]) + p["g_floor"]
-        rows, d = sys.node_rows, sys.rhs.size
+        rows = sys.node_rows
         ra, rb = rows[t.a], rows[t.b]
         dense = np.zeros((d, d))
         for r, c, sign in ((ra, ra, 1.0), (rb, rb, 1.0), (ra, rb, -1.0), (rb, ra, -1.0)):
@@ -348,8 +350,7 @@ class TestConjugateGradients:
             np.add.at(dense, (r[keep], c[keep]), sign * g[keep])
         r_in = rows[t.input_node]
         dense[r_in, -1] = dense[-1, r_in] = 1.0
-        assert sys._cg.dense().tobytes() == dense.tobytes()
-        assert sys.matrix.tobytes() == dense.tobytes()
+        assert sys.matrix.dense().tobytes() == dense.tobytes()
         x, residual = solver._cg_solve(sys, 4.0)
         assert abs(residual - np.abs(dense @ x - sys.rhs).max()) <= \
             1e-3 * solver._bound(sys, x, 4.0)
