@@ -159,7 +159,8 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
     """Simulate K independent networks in lockstep under the same waveform.
 
     Entropy is measured over the K differential readouts; energies add
-    (the member circuits are disjoint).  A failing cell names its
+    (the member circuits are disjoint).  Each member's trace records only
+    its two readout posts.  A failing cell names its
     lowest-index failing member with that member's own error, exactly as
     if the members ran one after another.  An error of every member at
     once, such as a bad setting, is raised as it is.
@@ -176,7 +177,8 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
     if topos:
         try:  # a batch raises its lowest-index failing member's error
             traces = simulate(topos, sine_waveform(v, cfg.frequency), cfg.dt,
-                              cfg.duration, decay_mode=cfg.decay_mode)
+                              cfg.duration, decay_mode=cfg.decay_mode,
+                              interface=(hier.readout_a, hier.readout_b))
         except Exception as exc:
             if not hasattr(exc, "member"):
                 raise
@@ -185,8 +187,7 @@ def run_hierarchy(cfg: SweepConfig, hier: HierarchyConfig, alpha: float,
         k, exc = failure
         raise RsnError(f"hierarchy member {k} (seed {seeds[k]}) failed: "
                        f"{exc}") from exc
-    readouts = [differential_readout(trace, hier.readout_a, hier.readout_b)
-                for trace in traces]
+    readouts = [differential_readout(trace, 1, 2) for trace in traces]
     total_energy = 0.0
     for trace in traces:  # left to right; sum() compensates on Python >= 3.12
         total_energy += energy(trace).energy_joules

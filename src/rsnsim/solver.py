@@ -373,7 +373,7 @@ class SimulationTrace:
 
     times: np.ndarray               # (T,)
     dt: float
-    interface_voltages: np.ndarray  # (T, n_interface)
+    interface_voltages: np.ndarray  # (T, k): every post, or those asked for
     source_current: np.ndarray      # (T,)
     applied_voltage: np.ndarray     # (T,)
     switching_events: int
@@ -390,7 +390,8 @@ class SimulationTrace:
         return self.interface_voltages.shape[1]
 
     def to_csv(self) -> str:
-        """Trace CSV text: t, v_in, i_src, node_1 ... node_N (9 significant digits)."""
+        """Trace CSV text: t, v_in, i_src, node_1 ... node_k (9 significant
+        digits); the k recorded columns are named by position, not label."""
         cols = [f"node_{i + 1}" for i in range(self.n_interface)]
         lines = [",".join(["t", "v_in", "i_src"] + cols)]
         fmt = ",".join(["%.9g"] * (3 + self.n_interface))
@@ -460,8 +461,9 @@ def check_settings(dt, duration, decimation, decay_mode) -> tuple:
 def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
              waveform: Callable[[float], float],
              dt: float = DEFAULT_DT, duration: float = DEFAULT_DURATION, *,
-             decay_mode: str = "state_dependent",
-             decimation: int = 1) -> Union[SimulationTrace, TraceBatch]:
+             decay_mode: str = "state_dependent", decimation: int = 1,
+             interface: Optional[Sequence[int]] = None
+             ) -> Union[SimulationTrace, TraceBatch]:
     """Time-step one network, or several on one grid in lockstep, under a
     single source waveform.
 
@@ -469,6 +471,10 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     fresh branch voltages, advance every device state (Euler step, then
     hysteresis).  Device state stored on a topology is never mutated, so
     repeated calls are bit-identical.
+
+    ``interface`` names, by 1-based label (a full trace's CSV numbering),
+    the posts whose voltages each trace records, in that order; None
+    records every post.  Labels are integers in 1..n_interface.
 
     Given one topology, returns its SimulationTrace.  Given a sequence,
     returns a TraceBatch of the members' traces, each bit-identical to the
@@ -488,6 +494,13 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     if not members:
         raise ParameterError("no topology to simulate")
     dt, duration, decimation, n_steps = check_settings(dt, duration, decimation, decay_mode)
+    posts = members[0].grid.interface_indices
+    if interface is not None:
+        labels = [_integral(x, "interface", ParameterError) for x in interface]
+        if not labels or not all(1 <= x <= posts.size for x in labels):
+            raise ParameterError(f"interface labels must be a non-empty sequence "
+                                 f"in 1..{posts.size}, got {interface!r}")
+        posts = posts[np.subtract(labels, 1)]
 
     asm = _Assembler(members)
     p = asm.p
@@ -495,7 +508,7 @@ def simulate(topologies: Union[NetworkTopology, Sequence[NetworkTopology]],
     # member m's node voltages are row m; flattened, the rows are stacked
     voltages = np.zeros((n_members, n))
     stacked = voltages.reshape(-1)
-    iface = members[0].grid.interface_indices + n * np.arange(n_members)[:, None]
+    iface = posts + n * np.arange(n_members)[:, None]
     w_prime = np.concatenate([t.w_prime for t in members])
     w = np.concatenate([t.w for t in members])
     branch_v = np.zeros(w.size)

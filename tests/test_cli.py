@@ -10,7 +10,9 @@ import pytest
 
 from rsnsim import cli
 from rsnsim.cli import main
+from rsnsim import solver
 from rsnsim.device import default_ranges
+from rsnsim.errors import NumericalError, RsnError
 from rsnsim.solver import SimulationTrace
 from rsnsim.topology import BetaShape, Grid, generate_network
 
@@ -439,6 +441,74 @@ class TestHierarchyCommand:
         assert main(["hierarchy", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "readout" in caplog.text or key in caplog.text
         assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "hierarchy"])
+def test_seed_and_no_center_flags_equal_their_keys(tmp_path, command):
+    doc = dict(SWEEP_DOC, trials=1, **({"k": 2} if command == "hierarchy" else {}))
+
+    def records(name, *flags, **keys):
+        path = write_json(tmp_path / f"{name}.json", dict(doc, **keys))
+        out = tmp_path / name
+        assert main([command, "--config", path, "--out", str(out), *flags]) == 0
+        return (out / "records.csv").read_text()
+
+    plain = records("plain")
+    for flags, keys in ((("--seed", "17"), {"base_seed": 17}),
+                        (("--no-center",), {"center": False})):
+        flagged = records("flags", *flags)
+        assert flagged == records("keys", **keys) != plain, flags
+
+
+def test_every_cell_failing_exits_3(tmp_path, monkeypatch, caplog):
+    def fail(sys, step=None):
+        raise NumericalError("no solve", step=step)
+
+    monkeypatch.setattr(solver, "solve_step", fail)
+    cfg = write_json(tmp_path / "sweep.json", SWEEP_DOC)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "every cell failed" in caplog.text
+    rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all("NumericalError: no solve" in r for r in rows)
+
+
+@pytest.mark.parametrize("exc,code", [(NumericalError("no solve", step=4), 3),
+                                      (RsnError("not a number kind"), 1)])
+def test_package_errors_exit_codes(tmp_path, monkeypatch, caplog, exc, code):
+    def simulate(*args, **kwargs):
+        raise exc
+
+    gen = write_json(tmp_path / "gen.json", GEN_DOC)
+    assert main(["generate", "--config", gen, "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "simulate", simulate)
+    assert main(["simulate", "--topology", str(tmp_path / "topology.json"),
+                 "--out", str(tmp_path / "s")]) == code
+    assert str(exc) in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # the rename onto a directory fails; text that cannot be encoded
+    # fails the write itself
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli.write_text_atomic(str(tmp_path / "taken"), "x\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli.write_text_atomic(str(tmp_path / "out.csv"), "bad \udc80\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("text,match", [
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    (json.dumps(dict(SWEEP_DOC, ranges=[[0, 1]])), "'ranges' must be an object"),
+])
+def test_bad_config_file_exits_1(tmp_path, caplog, text, match):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "config error:" in caplog.text and match in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 def test_output_files_take_the_umask(tmp_path):

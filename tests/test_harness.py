@@ -1,8 +1,10 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,23 @@ class TestRunHierarchy:
                              cfg.duration)
             total += energy(trace).energy_joules
         assert rec.energy_joules == total
+
+    def test_cell_keeps_two_columns_per_member(self):
+        # A K=16 cell on 49 nodes over 1,000 steps peaks at 1.90 MB of
+        # traced allocations; recording all 16 posts per member it peaked
+        # at 3.69 MB (tracemalloc, after a short cell has loaded what the
+        # first run imports).
+        cfg = SweepConfig(alphas=(1.0,), betas=(5.0,), xis=(4,),
+                          amplitudes=(2.0,), trials=1)
+        run_hierarchy(dataclasses.replace(cfg, duration=0.01),
+                      HierarchyConfig(k=2), 1.0, 5.0, 4, 2.0, seed=0)
+        tracemalloc.start()
+        try:
+            run_hierarchy(cfg, HierarchyConfig(k=16), 1.0, 5.0, 4, 2.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_600_000
 
     def test_member_failure_names_seed(self, monkeypatch):
         # the members step in lockstep, so the third solve is member 2's

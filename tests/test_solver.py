@@ -325,6 +325,44 @@ class TestConjugateGradients:
             voltages[:, t.grid.interface_indices].tobytes()
         assert trace.switching_events == flips
 
+    @pytest.mark.parametrize("missed", [{2}, {2, 3}])
+    def test_missed_gates(self, monkeypatch, missed):
+        # _bound's calls in one _cg_solve: 1 the stop, 2 the first gate, 3
+        # the restart's gate.  A missed first gate restarts CG from the true
+        # residual, which already meets the stop, so the restart returns the
+        # first round's solution and the run keeps its bits.  Two missed
+        # gates give up, and LU solves the step, bit-equal to the reference.
+        t, wave, n_steps = _cg_network(1), sine_waveform(8.0), 30
+        kw = dict(dt=1e-3, duration=n_steps * 1e-3)
+        plain = simulate(t, wave, **kw)
+        real_bound, real_cg, calls = solver._bound, solver._cg_solve, []
+
+        def cg_solve(sys, v_in):
+            calls.append(0)
+            return real_cg(sys, v_in)
+
+        def bound(sys, x, v_in):
+            calls[-1] += 1
+            return -math.inf if calls[-1] in missed else real_bound(sys, x, v_in)
+
+        monkeypatch.setattr(solver, "_cg_solve", cg_solve)
+        monkeypatch.setattr(solver, "_bound", bound)
+        trace = simulate(t, wave, **kw)
+        # solve_step's own gate is each step's last call; step 0, at 0 V,
+        # is solved by zeros
+        assert calls == [1] + [4] * (n_steps - 1)
+        if missed == {2}:
+            assert trace.source_current.tobytes() == plain.source_current.tobytes()
+            assert trace.interface_voltages.tobytes() == \
+                plain.interface_voltages.tobytes()
+            assert trace.switching_events == plain.switching_events
+            return
+        v_in, i_src, voltages, flips = lagged_run(t, wave, 1e-3, n_steps)
+        assert trace.source_current.tobytes() == i_src.tobytes()
+        assert trace.interface_voltages.tobytes() == \
+            voltages[:, t.grid.interface_indices].tobytes()
+        assert trace.switching_events == flips
+
     def test_matrix_on_demand_is_exact(self):
         # A CG member's ``matrix`` is its stored ``_Cg``, of the dense
         # shape; only ``dense()`` builds a dense matrix.  At a mid-run step
@@ -822,6 +860,53 @@ class TestSimulate:
         err = NumericalError("boom", step=17)
         assert "step 17" in str(err)
         assert err.step == 17
+
+
+def _assert_columns(full, picked, cols):
+    """``picked`` is ``full`` recording only the 0-based columns ``cols``."""
+    assert picked.interface_voltages.tobytes() == \
+        full.interface_voltages[:, cols].tobytes()
+    for name in ("times", "source_current", "applied_voltage"):
+        assert getattr(picked, name).tobytes() == getattr(full, name).tobytes()
+    assert picked.dt == full.dt
+    assert picked.switching_events == full.switching_events
+    if full.every_step is None:
+        assert picked.every_step is None
+    else:
+        assert picked.every_step[0] == full.every_step[0]
+        for a, b in zip(picked.every_step[1:], full.every_step[1:]):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestInterfaceLabels:
+    """``simulate(..., interface=labels)`` records only those posts."""
+
+    def test_columns_equal_the_full_run(self):
+        members = [generate_network(Grid(4, 1), BetaShape(1, 5), 4,
+                                    default_ranges(), seed) for seed in (3, 4, 5)]
+        wave, kw = sine_waveform(4.0), dict(dt=1e-3, duration=0.06)
+        full = simulate(members, wave, **kw)
+        picked = simulate(members, wave, interface=(2, 9), **kw)
+        assert full.switching_events > 0
+        for f, p in zip(full, picked):
+            _assert_columns(f, p, [1, 8])
+        full = simulate(members[0], wave, decimation=3, **kw)
+        picked = simulate(members[0], wave, decimation=3, interface=(9, 2), **kw)
+        assert picked.every_step is not None
+        _assert_columns(full, picked, [8, 1])
+        assert picked.to_csv().split("\n", 1)[0] == "t,v_in,i_src,node_1,node_2"
+
+    @pytest.mark.parametrize("labels", [(2, 0), (2, 17), (2, 2.5), (2, True),
+                                        (2, "2"), ()])
+    def test_bad_labels_rejected_before_step_0(self, monkeypatch, labels):
+        # 16 posts; the check is one for all members, so it names none
+        calls = []
+        monkeypatch.setattr(solver, "solve_step", lambda *a, **kw: calls.append(a))
+        t = generate_network(Grid(4, 1), BetaShape(1, 5), 4, default_ranges(), 3)
+        with pytest.raises(ParameterError, match="interface") as exc:
+            simulate([t, t], sine_waveform(1.0), dt=1e-3, duration=0.01,
+                     interface=labels)
+        assert calls == [] and not hasattr(exc.value, "member")
 
 
 class TestSetup:
