@@ -111,6 +111,23 @@ class _Cg:
         return a
 
 
+def _marked(flat: np.ndarray, size: int, bits: bool) -> np.ndarray:
+    """The distinct entries of ``flat`` below ``size``, in order, marked in
+    a table of one bit per entry if ``bits``, else of one byte."""
+    if not bits:
+        marks = np.zeros(size + 1, dtype=bool)
+        marks[flat] = True
+        return np.flatnonzero(marks[:-1])
+    table = np.zeros((size >> 3) + 1, dtype=np.uint8)
+    np.bitwise_or.at(table, flat >> 3,
+                     np.left_shift(np.uint8(1), (flat & 7).astype(np.uint8)))
+    set_bytes = np.flatnonzero(table)
+    byte, bit = np.nonzero(np.unpackbits(table[set_bytes, None], axis=1,
+                                         bitorder="little"))
+    marked = set_bytes[byte] * 8 + bit
+    return marked[marked < size]
+
+
 class _Assembler:
     """Scatter indices, parameter rows and the LU members' matrix buffer for
     topologies stepped in lockstep.
@@ -134,8 +151,13 @@ class _Assembler:
     step ``build`` writes the four signed stamp weights into one buffer,
     the bincount sums every stamped entry's terms in stamp order, the
     order of a member assembled alone, the LU members' entries are written
-    to the buffer, and each ``_Cg`` gets its span of them.  An error in
-    member m's set-up carries ``member = m``.
+    to the buffer, and each ``_Cg`` gets its span of them.  Set-up finds
+    the stamped entries in a table over the whole index space, freed once
+    read: one bit per entry when a member is CG-size (30 MB at 15,625
+    nodes, where bytes took 244 MB), and one byte below the crossover,
+    where the table is a few KB and the bit routines' first use raised
+    perfbench sweep49's peak RSS by 0.25 MB.  An error in member m's
+    set-up carries ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -173,9 +195,7 @@ class _Assembler:
         flat = np.concatenate(flat, axis=1)
         # the stamped entries, each stamp's bin among them, and one more bin
         # for the stamps that are dropped; the LU members' entries come first
-        marks = np.zeros(size + 1, dtype=bool)
-        marks[flat] = True
-        self._stamped = np.flatnonzero(marks[:-1])
+        self._stamped = _marked(flat, size, bits=lu_size < size)
         self._lu_stamped = self._stamped[:np.searchsorted(self._stamped, lu_size)]
         self._bins = np.searchsorted(self._stamped, flat).ravel()
         self._weights = np.empty((4, n_edges))

@@ -2,15 +2,16 @@
 
     python3 studies/scale_probe.py
 
-Runs one fresh process per size, ``Grid(8, 3)`` (841 nodes) and
-``Grid(16, 3)`` (3,721 nodes), each on one network (alpha 1, beta 1, xi 4,
-seed 0) driven by a 4 V sine for 50 steps of 1 ms, with BLAS and OpenMP
-pinned to one thread.  Each prints ``simulate``'s CPU
-milliseconds per step and the process's peak RSS (``ru_maxrss``), which
-includes the interpreter, numpy and network generation.  The package is
-imported from the ``src`` directory next to this script, so running the
-script from two checkouts compares them.  It is not part of the tests or
-of the benchmark.
+Runs one fresh process per size, ``Grid(8, 3)`` (841 nodes),
+``Grid(16, 3)`` (3,721 nodes) and ``Grid(32, 3)`` (15,625 nodes), each on
+one network (alpha 1, beta 1, xi 4, seed 0) driven by a 4 V sine for 50
+steps of 1 ms, with BLAS and OpenMP pinned to one thread.  Each prints
+``simulate``'s CPU milliseconds per step and the process's peak RSS
+(``ru_maxrss``), which includes the interpreter, numpy and network
+generation.  The package is imported from the ``src`` directory next to
+this script, so running the script from two checkouts compares them.  It
+is not part of the tests or of the benchmark; CI runs it to check that
+each size still sets up and steps.
 """
 
 import os
@@ -26,7 +27,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SIZES = ((8, 3), (16, 3))  # (interface_dim, subdivision)
+SIZES = ((8, 3), (16, 3), (32, 3))  # (interface_dim, subdivision)
 STEPS, AMPLITUDE, SEED = 50, 4.0, 0
 
 
