@@ -111,13 +111,9 @@ class _Cg:
         return a
 
 
-def _marked(flat: np.ndarray, size: int, bits: bool) -> np.ndarray:
+def _marked(flat: np.ndarray, size: int) -> np.ndarray:
     """The distinct entries of ``flat`` below ``size``, in order, marked in
-    a table of one bit per entry if ``bits``, else of one byte."""
-    if not bits:
-        marks = np.zeros(size + 1, dtype=bool)
-        marks[flat] = True
-        return np.flatnonzero(marks[:-1])
+    a table of one bit per entry."""
     table = np.zeros((size >> 3) + 1, dtype=np.uint8)
     np.bitwise_or.at(table, flat >> 3,
                      np.left_shift(np.uint8(1), (flat & 7).astype(np.uint8)))
@@ -152,12 +148,10 @@ class _Assembler:
     the bincount sums every stamped entry's terms in stamp order, the
     order of a member assembled alone, the LU members' entries are written
     to the buffer, and each ``_Cg`` gets its span of them.  Set-up finds
-    the stamped entries in a table over the whole index space, freed once
-    read: one bit per entry when a member is CG-size (30 MB at 15,625
-    nodes, where bytes took 244 MB), and one byte below the crossover,
-    where the table is a few KB and the bit routines' first use raised
-    perfbench sweep49's peak RSS by 0.25 MB.  An error in member m's
-    set-up carries ``member = m``.
+    the stamped entries in a table of one bit per entry of the whole index
+    space, freed once read: 30 MB at 15,625 nodes, where one byte per
+    entry took 244 MB.  An error in member m's set-up carries
+    ``member = m``.
     """
 
     def __init__(self, topologies: Sequence[NetworkTopology]):
@@ -187,15 +181,15 @@ class _Assembler:
         for m in order:
             offset[m], size = size, size + dims[m] ** 2
         lu_size = sum(d * d for d in dims if d < _CG_MIN_DIM)  # the buffer
-        flat = []  # (4, E) stamp entries per member, size if dropped
-        for t, rows, d, o in zip(topologies, node_rows, dims, offset):
+        flat = np.empty((4, n_edges), dtype=np.intp)  # stamp entries, size if dropped
+        for t, rows, d, o, edges in zip(topologies, node_rows, dims, offset,
+                                        self.edge_slices):
             ra, rb = rows[t.a], rows[t.b]
-            r, c = np.stack((ra, rb, ra, rb)), np.stack((ra, rb, rb, ra))
-            flat.append(np.where((r >= 0) & (c >= 0), o + r * d + c, size))
-        flat = np.concatenate(flat, axis=1)
+            for k, (r, c) in enumerate(((ra, ra), (rb, rb), (ra, rb), (rb, ra))):
+                flat[k, edges] = np.where((r >= 0) & (c >= 0), o + r * d + c, size)
         # the stamped entries, each stamp's bin among them, and one more bin
         # for the stamps that are dropped; the LU members' entries come first
-        self._stamped = _marked(flat, size, bits=lu_size < size)
+        self._stamped = _marked(flat, size)
         self._lu_stamped = self._stamped[:np.searchsorted(self._stamped, lu_size)]
         self._bins = np.searchsorted(self._stamped, flat).ravel()
         self._weights = np.empty((4, n_edges))

@@ -943,7 +943,7 @@ def _stamp_layout(topologies):
             r, c = np.divmod(stamped[lo:hi] - o, d)
             cgs[m] = (slice(lo, hi), r, c, np.flatnonzero(r == c))
     return (stamped, bins.ravel(), stamped[stamped < lu_size], np.array(firsts),
-            cgs, lu_size < size)
+            cgs)
 
 
 def _same(got, want):
@@ -1007,21 +1007,12 @@ class TestSetup:
         pytest.param(lambda: [_cg_network(0), generate_network(
             Grid(6, 2), BetaShape(1, 5), 1, default_ranges(), 0)], id="256-cg-lu"),
     ])
-    def test_stamp_layout_matches_unique(self, monkeypatch, members):
-        # Both ways of marking the stamped entries, a bit table where a
-        # member is CG-size and a byte table where none is, give the
-        # entries np.unique finds, and so the same bins, spans and rows.
+    def test_stamp_layout_matches_unique(self, members):
+        # The bit table marks the entries np.unique finds, on LU-only and
+        # CG-size batches alike, and so gives the same bins, spans and rows.
         members = members()
-        stamped, bins, lu_stamped, firsts, cgs, bits = _stamp_layout(members)
-        real, used = solver._marked, []
-
-        def marked(flat, size, bits):
-            used.append(bits)
-            return real(flat, size, bits)
-
-        monkeypatch.setattr(solver, "_marked", marked)
+        stamped, bins, lu_stamped, firsts, cgs = _stamp_layout(members)
         asm = solver._Assembler(members)
-        assert used == [bits]
         assert _same(asm._stamped, stamped) and _same(asm._bins, bins)
         assert _same(asm._lu_stamped, lu_stamped) and _same(asm._firsts, firsts)
         assert asm._bins.max() == stamped.size  # some stamps are dropped
@@ -1039,7 +1030,7 @@ class TestSetup:
     def test_cg_setup_below_one_byte_per_entry(self):
         # A CG-size lattice marks its stamped entries with one bit per
         # entry of its system, so set-up stays below one byte per entry
-        # (measured 5.0 MB against d * d = 13.8 MB at 3,716 rows; 18.8 MB
+        # (measured 4.0 MB against d * d = 13.8 MB at 3,716 rows; 18.8 MB
         # with a byte per entry).
         t = generate_network(Grid(16, 3), BetaShape(1, 1), 4, default_ranges(), 0)
         d = assemble(t, 1.0).rhs.size
