@@ -8,7 +8,9 @@ internal state is advanced with the fresh branch voltages.  Systems below
 ``_CG_MIN_DIM`` rows are solved by LU, same-size lockstep ones by one
 stacked LAPACK call, bit for bit; larger ones by conjugate gradients on
 their sparse entries, which are their ``matrix``: no dense matrix is built
-unless LU has to take over.
+unless LU has to take over.  Those entries are stored row-interleaved,
+each row's own in column order, so the sparse product sums every row in
+the order of row-sorted entries, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,15 +94,30 @@ class _Stack:
 
 class _Cg:
     """A CG-size member's bordered ``matrix`` of ``shape`` (d, d), held as
-    its node block's sparse entries (their span of the stamped entries,
-    rows, columns, diagonal positions and step's ``vals``) and its input
-    row, which the source border joins; ``u`` is its last solution over
-    its v_in, or e_r_in."""
+    its node block's sparse entries (rows, columns, the step's ``vals``,
+    gathered from the stamped entries at ``take``, and the diagonal's
+    positions in row order) and its input row, which the source border
+    joins; ``u`` is its last solution over its v_in, or e_r_in.
+
+    The entries are stored row-interleaved, as in ELLPACK: every row's
+    first entry in row order, then every row's second, and so on.  Each
+    row still meets its own entries in ascending column order, so a
+    ``np.bincount`` over them adds each row's terms in the same sequence
+    as over the row-sorted entries, and every sum keeps its bits; but
+    neighbouring entries now add into different rows, so no add waits on
+    the one before it."""
     def __init__(self, stamped, offset, d, r_in):
-        lo, hi = np.searchsorted(stamped, (offset, offset + d * d))
-        self.rows, self.cols = np.divmod(stamped[lo:hi] - offset, d)
-        self.span, self.diag = slice(lo, hi), np.flatnonzero(self.rows == self.cols)
-        self.r_in, self.u, self.vals = r_in, np.eye(1, d - 1, r_in)[0], None
+        # each node row's span of the stamped entries, in column order
+        bounds = np.searchsorted(stamped, offset + d * np.arange(d))
+        starts, counts = bounds[:-1], np.diff(bounds)
+        # entry k of every row that has one, for k = 0, 1, ...
+        self.take = np.concatenate([starts[counts > k] + k for k in range(counts.max())])
+        self.rows, self.cols = np.divmod(stamped[self.take] - offset, d)
+        on = np.flatnonzero(self.rows == self.cols)
+        self.diag = np.empty_like(on)
+        self.diag[self.rows[on]] = on  # in row order
+        self.vals = np.empty(self.take.size)
+        self.r_in, self.u = r_in, np.eye(1, d - 1, r_in)[0]
         self.shape = (d, d)
 
     def dense(self) -> np.ndarray:
@@ -147,7 +164,9 @@ class _Assembler:
     step ``build`` writes the four signed stamp weights into one buffer,
     the bincount sums every stamped entry's terms in stamp order, the
     order of a member assembled alone, the LU members' entries are written
-    to the buffer, and each ``_Cg`` gets its span of them.  Set-up finds
+    to the buffer, and each ``_Cg`` gathers its own into its ``vals``,
+    row-interleaved (each row's in column order, so every row sums in the
+    order of the stamped entries and keeps its bits).  Set-up finds
     the stamped entries in a table of one bit per entry of the whole index
     space, freed once read: 30 MB at 15,625 nodes, where one byte per
     entry took 244 MB.  An error in member m's set-up carries
@@ -251,7 +270,7 @@ class _Assembler:
         self._matrices[self._lu_stamped] = entries[:self._lu_stamped.size]
         np.maximum.reduceat(entries, self._firsts, out=self._diag_max)
         for cg in self._cgs:  # a CG member has only its entries
-            cg.vals = entries[cg.span]
+            entries.take(cg.take, out=cg.vals)
         self._rhs[-1] = v_in
         return self._systems
 
@@ -289,41 +308,43 @@ def _cg_solve(sys: LinearSystem, v_in: float) -> tuple:
     cg, d = sys.matrix, sys.rhs.size
     if v_in == 0.0:  # solved exactly by zeros
         return np.zeros(d), 0.0
-    diag = cg.vals[cg.diag]
+    rows, cols, vals, r_in = cg.rows, cg.cols, cg.vals, cg.r_in
+    diag = vals[cg.diag]
     if not diag.min() > 0.0:  # not positive definite: LU decides
         return None, None
     x = np.append(cg.u * v_in, 0.0)
+    v = x[:-1]  # the node voltages, a view
     budget, it = int(_CG_BUDGET * (d - 1)), 0
     stop = _bound(sys, x, v_in) / 20.0  # x[-1] = 0: the bound's least value
-    gv = np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
+    gv = np.bincount(rows, vals * v.take(cols), minlength=d - 1)
     for _ in range(2):  # a start, then one restart
         r = -gv
-        r[cg.r_in] = 0.0  # the pinned row
+        r[r_in] = 0.0  # the pinned row
         z = r / diag
         p, rz = z, r @ z
         while np.abs(r).max() > stop:
             if it == budget:
                 return None, None
             it += 1
-            ap = np.bincount(cg.rows, cg.vals * p[cg.cols], minlength=d - 1)
-            ap[cg.r_in] = 0.0
+            ap = np.bincount(rows, vals * p.take(cols), minlength=d - 1)
+            ap[r_in] = 0.0
             pap = p @ ap
             if rz == 0.0 or not pap > 0.0:
                 break
             alpha = rz / pap
-            x[:-1] += alpha * p
+            v += alpha * p
             r -= alpha * ap
             z = r / diag
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        gv = np.bincount(cg.rows, cg.vals * x[cg.cols], minlength=d - 1)
-        x[-1] = -gv.item(cg.r_in)
+        gv = np.bincount(rows, vals * v.take(cols), minlength=d - 1)
+        x[-1] = -gv.item(r_in)
         # A x - b is G v off the input row and 0 on it, where x[-1] cancels
         # G v; the source row's x[r_in] - v_in takes the input row's place
-        gv[cg.r_in] = x.item(cg.r_in) - v_in
+        gv[r_in] = x.item(r_in) - v_in
         residual = np.abs(gv).max().item()
         if residual <= _bound(sys, x, v_in):
-            cg.u = x[:-1] / v_in
+            cg.u = v / v_in
             return x, residual
     return None, None
 

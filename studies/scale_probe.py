@@ -6,12 +6,16 @@ Runs one fresh process per size, ``Grid(8, 3)`` (841 nodes),
 ``Grid(16, 3)`` (3,721 nodes) and ``Grid(32, 3)`` (15,625 nodes), each on
 one network (alpha 1, beta 1, xi 4, seed 0) driven by a 4 V sine for 50
 steps of 1 ms, with BLAS and OpenMP pinned to one thread.  Each prints
-``simulate``'s CPU milliseconds per step and the process's peak RSS
-(``ru_maxrss``), which includes the interpreter, numpy and network
-generation.  The package is imported from the ``src`` directory next to
-this script, so running the script from two checkouts compares them.  It
-is not part of the tests or of the benchmark; CI runs it to check that
-each size still sets up and steps.
+``simulate``'s CPU milliseconds per step, raw and scaled by the host
+slow-down that perfbench's calibration kernel (``perfbench/calibrate.py``)
+measures right after the steps (the median of ``CALIBRATION_CALLS`` timed
+calls), and the process's peak RSS (``ru_maxrss``), which includes the
+interpreter, numpy and network generation.  The package is imported from
+the ``src`` directory next to this script, so running the script from two
+checkouts compares them; on a shared host the per-step CPU drifts by 20%
+and more, scaled or not, so a comparison needs the two checkouts' runs
+alternated, several each.  It is not part of the tests or of the
+benchmark; CI runs it to check that each size still sets up and steps.
 """
 
 import os
@@ -26,9 +30,11 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SIZES = ((8, 3), (16, 3), (32, 3))  # (interface_dim, subdivision)
 STEPS, AMPLITUDE, SEED = 50, 4.0, 0
+CALIBRATION_CALLS = 100
 
 
 def probe(interface_dim: int, subdivision: int) -> str:
@@ -43,8 +49,14 @@ def probe(interface_dim: int, subdivision: int) -> str:
     simulate(t, sine_waveform(AMPLITUDE), dt=1e-3, duration=STEPS * 1e-3)
     ms = (time.process_time() - start) * 1e3 / STEPS
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    # imported after the peak is read: importing them first added about 1 MB
+    import statistics
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import calibrate
+    slow = statistics.median(calibrate.timed_call() for _ in range(CALIBRATION_CALLS))
+    scaled = ms / (slow / calibrate.NOMINAL_S)
     return (f"Grid({interface_dim}, {subdivision}) {grid.n_nodes} nodes: "
-            f"{ms:.2f} ms per step, peak RSS {rss_mb:.1f} MB")
+            f"{ms:.2f} ms per step ({scaled:.2f} scaled), peak RSS {rss_mb:.1f} MB")
 
 
 def main() -> None:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -439,6 +440,53 @@ class TestConjugateGradients:
         assert (exc.value.member, exc.value.step) == (1, 3)
         assert str(exc.value) == "linear solve failed: Singular matrix (step 3)"
         assert len(solved) == 3 * 2 + 7  # member 0 steps on to the end
+
+    @pytest.mark.parametrize("network", [
+        pytest.param(lambda: _cg_network(0), id="256"),
+        pytest.param(lambda: generate_network(Grid(8, 3), BetaShape(1, 1), 4,
+                                              default_ranges(), 0), id="841"),
+    ])
+    def test_entries_row_interleaved(self, network):
+        # Entry k of any row comes before entry k + 1 of every row, rows
+        # rising within each k, and within a row the columns rise.
+        cg = solver._Assembler([network()])._systems[0].matrix
+        rows, cols = cg.rows, cg.cols
+        by_row = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows)
+        k = np.empty_like(rows)
+        k[by_row] = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        assert np.all((np.diff(k) > 0) | ((np.diff(k) == 0) & (np.diff(rows) > 0)))
+        same_row = np.diff(rows[by_row]) == 0
+        assert np.all(np.diff(cols[by_row])[same_row] > 0)
+        assert np.array_equal(rows[cg.diag], np.arange(counts.size))
+        assert np.array_equal(cols[cg.diag], np.arange(counts.size))
+
+    @pytest.mark.parametrize("network, v_in", [
+        pytest.param(lambda: _cg_network(0), 1.0, id="256-1V"),
+        pytest.param(lambda: _cg_network(0), 8.0, id="256-8V"),
+        pytest.param(lambda: generate_network(Grid(8, 3), BetaShape(10, 1), 8,
+                                              default_ranges(), 0), 8.0,
+                     id="841-stiff-8V"),
+    ])
+    def test_row_interleaved_keeps_bits(self, network, v_in):
+        # A solve on the stored entries and one on the same entries sorted
+        # by row give the same x, residual and next start, bit for bit: the
+        # bincount adds each row's terms in the same order either way.
+        t = network()
+        bias = np.random.default_rng(5).uniform(-v_in, v_in, t.edge_count)
+        sys = solver._Assembler([t]).build(t.w, bias, v_in)[0]
+        cg = sys.matrix
+        by_row = np.argsort(cg.take)  # the stamped, row-sorted order
+        flat = dataclasses.replace(sys, matrix=copy.copy(cg))
+        flat.matrix.rows, flat.matrix.cols = cg.rows[by_row], cg.cols[by_row]
+        flat.matrix.vals, flat.matrix.u = cg.vals[by_row], cg.u.copy()
+        flat.matrix.diag = np.argsort(by_row)[cg.diag]
+        assert flat.matrix.dense().tobytes() == cg.dense().tobytes()
+        x, residual = solver._cg_solve(sys, v_in)
+        x_flat, residual_flat = solver._cg_solve(flat, v_in)
+        assert x is not None
+        assert x.tobytes() == x_flat.tobytes() and residual == residual_flat
+        assert cg.u.tobytes() == flat.matrix.u.tobytes()
 
 
 def _reference_network():
@@ -1010,6 +1058,8 @@ class TestSetup:
     def test_stamp_layout_matches_unique(self, members):
         # The bit table marks the entries np.unique finds, on LU-only and
         # CG-size batches alike, and so gives the same bins, spans and rows.
+        # A _Cg stores its span's entries row-interleaved: mapped back
+        # through its ``take``, they are np.unique's row-sorted ones.
         members = members()
         stamped, bins, lu_stamped, firsts, cgs = _stamp_layout(members)
         asm = solver._Assembler(members)
@@ -1020,8 +1070,10 @@ class TestSetup:
                 if isinstance(s.matrix, solver._Cg)} == set(cgs)
         for m, (span, rows, cols, diag) in cgs.items():
             cg = asm._systems[m].matrix
-            assert cg.span == span
-            assert _same(cg.rows, rows) and _same(cg.cols, cols) and _same(cg.diag, diag)
+            assert _same(np.sort(cg.take), np.arange(span.start, span.stop))
+            at = cg.take - span.start
+            assert _same(cg.rows, rows[at]) and _same(cg.cols, cols[at])
+            assert _same(at[cg.diag], diag)  # the diagonal, in row order
         if len(members) == 16:
             assert len({s.rhs.size for s in asm._systems}) > 2
         elif len(members) == 2:  # one member of each kind
