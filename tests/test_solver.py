@@ -1079,11 +1079,28 @@ class TestSetup:
         elif len(members) == 2:  # one member of each kind
             assert len(cgs) == 1 and lu_stamped.size > 0
 
+    def test_distinct_memory_follows_the_stamps(self):
+        # 8,000 stamps, some repeated and some dropped, in an index space of
+        # 2**28 entries: finding the distinct ones takes memory in the
+        # stamps' count, not the space's (a bit table would take 33.5 MB).
+        size = 2 ** 28
+        rng = np.random.default_rng(0)
+        flat = rng.integers(0, size, (4, 2000)).astype(np.intp)
+        flat[1, :500] = flat[0, :500]
+        flat[2, :300] = size
+        tracemalloc.start()
+        try:
+            got = solver._distinct(flat, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert _same(got, np.unique(flat[flat < size]))
+
     def test_cg_setup_below_one_byte_per_entry(self):
-        # A CG-size lattice marks its stamped entries with one bit per
-        # entry of its system, so set-up stays below one byte per entry
-        # (measured 4.0 MB against d * d = 13.8 MB at 3,716 rows; 18.8 MB
-        # with a byte per entry).
+        # A CG-size lattice's set-up holds its stamps, not its entries, so
+        # it stays below one byte per entry (measured 4.0 MB against d * d
+        # = 13.8 MB at 3,716 rows; 18.8 MB with a byte per entry).
         t = generate_network(Grid(16, 3), BetaShape(1, 1), 4, default_ranges(), 0)
         d = assemble(t, 1.0).rhs.size
         tracemalloc.start()
